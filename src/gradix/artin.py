@@ -2,6 +2,13 @@
 socles, graded socle ranks, type, Hilbert functions, and radical-maximality
 certification.
 
+The quotient algebra is its multiplication columns: `QuotientBasis.columns`
+holds, for each variable, the coordinates of x_i * b for every standard
+monomial b, and every product, power, action matrix and monomial normal
+form is walked through them.  `Ideal.normal_form` runs only for the
+boundary columns (x_i * b not standard) and, in `action_matrix`, once to
+reduce the acting polynomial g.
+
 The socle of a graded quotient is computed degree slice by degree slice so
 its basis is homogeneous by construction; the ungraded path stacks the
 multiplication matrices and takes one kernel.
@@ -53,36 +60,37 @@ class QuotientBasis:
                     nf = ideal.normal_form(self.ring.monomial(shifted), self.order)
                     cols.append({self.index[m]: c for m, c in nf.terms.items()})
             self.columns.append(cols)
-        zero_mono = (0,) * self.ring.npres
+        self._one = (0,) * self.ring.npres
         if self.dimension:
             unit = [field.zero()] * self.dimension
-            unit[self.index[zero_mono]] = field.one()
-            self._mono_nf: dict = {zero_mono: unit}
+            unit[self.index[self._one]] = field.one()
+            self._mono_nf: dict = {self._one: unit}
         else:
-            self._mono_nf = {zero_mono: []}
+            self._mono_nf = {self._one: []}
 
     # -- coordinates ---------------------------------------------------------
 
+    def walk(self, cache: dict, m: tuple, step) -> list:
+        """Vector of the monomial m in a memo keyed by monomials: from the
+        nearest memoized divisor on the chain that lowers the first nonzero
+        exponent, apply `step(i, vec)` once per variable, memoizing each
+        intermediate.  Iterative, so the degree of m is unbounded."""
+        path = []
+        while m not in cache:
+            i = next(k for k, e in enumerate(m) if e)
+            path.append((m, i))
+            m = m[:i] + (m[i] - 1,) + m[i + 1 :]
+        vec = cache[m]
+        for mono, i in reversed(path):
+            vec = step(i, vec)
+            cache[mono] = vec
+        return vec
+
     def nf_monomial(self, m: tuple) -> list:
         """Coordinates of the normal form of a monomial, memoized and
-        computed incrementally through the multiplication structure."""
-        cache = self._mono_nf
-        if m in cache:
-            return cache[m]
-        i = next(k for k, e in enumerate(m) if e)
-        prev = list(m)
-        prev[i] -= 1
-        v = self.apply_var(i, self.nf_monomial(tuple(prev)))
-        cache[m] = v
-        return v
-
-    def nf_coords(self, f: Polynomial) -> list:
-        field = self.ring.field
-        nf = self.ideal.normal_form(f, self.order)
-        v = [field.zero()] * self.dimension
-        for m, c in nf.terms.items():
-            v[self.index[m]] = c
-        return v
+        computed incrementally through the multiplication structure.  The
+        returned list is shared with the memo and must not be modified."""
+        return self.walk(self._mono_nf, m, self.apply_var)
 
     def to_poly(self, vec) -> Polynomial:
         field = self.ring.field
@@ -100,13 +108,44 @@ class QuotientBasis:
                 out[r] = field.add(out[r], field.mul(a, c))
         return out
 
-    def action_matrix(self, g: Polynomial) -> list[list]:
-        """Dense matrix (rows) of multiplication by g on the quotient."""
+    def apply_var_transpose(self, i: int, vec: list) -> list:
+        """The transpose of `apply_var`: contraction by the i-th variable
+        on dual coordinates."""
         field = self.ring.field
-        rows = [[field.zero()] * self.dimension for _ in range(self.dimension)]
-        for j, b in enumerate(self.monomials):
-            col = self.nf_coords(g * self.ring.monomial(b))
-            for r, c in enumerate(col):
+        out = []
+        for col in self.columns[i]:
+            acc = field.zero()
+            for r, a in col.items():
+                if not field.is_zero(vec[r]):
+                    acc = field.add(acc, field.mul(a, vec[r]))
+            out.append(acc)
+        return out
+
+    def _apply_terms(self, terms, vec: list) -> list:
+        """Coordinates of (sum of c * x^m over terms) times vec; every
+        monomial is walked up from vec through `apply_var`."""
+        field = self.ring.field
+        out = [field.zero()] * self.dimension
+        powers = {self._one: vec}
+        for m, c in terms:
+            for r, a in enumerate(self.walk(powers, m, self.apply_var)):
+                if not field.is_zero(a):
+                    out[r] = field.add(out[r], field.mul(c, a))
+        return out
+
+    def action_matrix(self, g: Polynomial) -> list[list]:
+        """Dense matrix (rows) of multiplication by g on the quotient: g is
+        reduced once, then its terms act on each basis vector."""
+        field = self.ring.field
+        D = self.dimension
+        rows = [[field.zero()] * D for _ in range(D)]
+        terms = list(self.ideal.normal_form(g, self.order).terms.items())
+        if not terms:
+            return rows
+        for j in range(D):
+            unit = [field.zero()] * D
+            unit[j] = field.one()
+            for r, c in enumerate(self._apply_terms(terms, unit)):
                 if not field.is_zero(c):
                     rows[r][j] = c
         return rows
@@ -120,11 +159,12 @@ class QuotientBasis:
         return rows
 
     def multiply(self, u: list, v: list) -> list:
-        return self.nf_coords(self.to_poly(u) * self.to_poly(v))
+        field = self.ring.field
+        terms = [(m, c) for m, c in zip(self.monomials, u) if not field.is_zero(c)]
+        return self._apply_terms(terms, v)
 
     def element_power(self, vec: list, e: int) -> list:
-        field = self.ring.field
-        out = self.nf_coords(self.ring.one())
+        out = list(self.nf_monomial(self._one))
         base = list(vec)
         while e:
             if e & 1:
@@ -180,25 +220,20 @@ class SocleData:
         return iter(self.polynomials)
 
 
-def _socle_kernel(Q: QuotientBasis, matrices: list[list[list]]) -> list[list]:
-    rows = [row for M in matrices for row in M]
-    return kernel_basis(Q.ring.field, rows, Q.dimension)
-
-
-def _graded_socle_vectors(Q: QuotientBasis) -> list[list]:
-    """Kernel of all variable actions, one degree slice at a time."""
+def _kernel_by_degree(Q: QuotientBasis, columns: list[dict], graded: bool) -> list[list]:
+    """Kernel of the linear map on R/I whose j-th column is the sparse
+    `columns[j]` (row key -> entry).  When `graded`, the map must preserve
+    degree; the kernel is then taken one degree slice at a time, so every
+    kernel vector is homogeneous."""
     field = Q.ring.field
     slices: dict[int, list[int]] = {}
-    for j, d in enumerate(Q.degrees):
+    for j, d in enumerate(Q.degrees if graded else [0] * Q.dimension):
         slices.setdefault(d, []).append(j)
     out = []
     for d in sorted(slices):
         idxs = slices[d]
-        rows = []
-        for i in range(Q.ring.npres):
-            targets = sorted({r for j in idxs for r in Q.columns[i][j]})
-            for r in targets:
-                rows.append([Q.columns[i][j].get(r, field.zero()) for j in idxs])
+        keys = sorted({k for j in idxs for k in columns[j]})
+        rows = [[columns[j].get(k, field.zero()) for j in idxs] for k in keys]
         for kv in kernel_basis(field, rows, len(idxs)):
             full = [field.zero()] * Q.dimension
             for pos, j in enumerate(idxs):
@@ -210,17 +245,17 @@ def _graded_socle_vectors(Q: QuotientBasis) -> list[list]:
 def socle(Q: QuotientBasis) -> SocleData:
     """Basis of 0 : (all variables) in R/I; homogeneous by construction
     when the ideal is graded."""
-    if Q.ideal.is_graded():
-        vectors = _graded_socle_vectors(Q)
-    else:
-        vectors = _socle_kernel(Q, [Q.var_matrix(i) for i in range(Q.ring.npres)])
-    return _make_socle_data(Q, vectors)
+    columns = [
+        {(i, r): a for i in range(Q.ring.npres) for r, a in Q.columns[i][j].items()}
+        for j in range(Q.dimension)
+    ]
+    return _make_socle_data(Q, _kernel_by_degree(Q, columns, Q.ideal.is_graded()))
 
 
 def socle_wrt(Q: QuotientBasis, annihilators) -> SocleData:
     """Basis of 0 : (g_1, ..., g_k) in R/I for arbitrary ideal generators."""
-    mats = [Q.action_matrix(g) for g in annihilators]
-    return _make_socle_data(Q, _socle_kernel(Q, mats))
+    rows = [row for g in annihilators for row in Q.action_matrix(g)]
+    return _make_socle_data(Q, kernel_basis(Q.ring.field, rows, Q.dimension))
 
 
 def _make_socle_data(Q: QuotientBasis, vectors) -> SocleData:
@@ -258,7 +293,7 @@ def minimal_polynomial(Q: QuotientBasis, element) -> list:
         step = lambda v: Q.multiply(v, elem)
     # track each power of the element against the span of earlier powers
     aug: list[tuple[list, list]] = []  # (reduced vector, combination over powers)
-    power = Q.nf_coords(Q.ring.one())
+    power = Q.nf_monomial(Q._one)
     k = 0
     while True:
         combo = [field.zero()] * (k + 1)
@@ -334,7 +369,7 @@ def _qq_is_field(A: QuotientBasis, attempts: int = 32) -> bool:
         for i, c in enumerate(coeffs):
             if field.is_zero(c):
                 continue
-            col = A.nf_coords(A.ring.monomial(tuple(1 if k == i else 0 for k in range(A.ring.npres))))
+            col = A.nf_monomial(tuple(1 if k == i else 0 for k in range(A.ring.npres)))
             vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, col)]
         mp = minimal_polynomial(A, vec)
         if len(mp) - 1 == d:

@@ -117,7 +117,7 @@ def _field_of(text: str):
     text = text.strip()
     if text == "QQ":
         return QQ
-    if text.startswith("GF(") and text.endswith(")"):
+    if text.startswith("GF(") and text.endswith(")") and text[3:-1].isdigit():
         return GF(int(text[3:-1]))
     raise ParseError(f"unknown field {text!r}")
 
@@ -448,7 +448,10 @@ def _verify_chunk(ideals):
 
 def _cmd_verify_thm(args, report):
     field = _field_of(args.field)
-    nvars = tuple(int(x) for x in args.nvars.split(","))
+    try:
+        nvars = tuple(int(x) for x in args.nvars.split(","))
+    except ValueError:
+        raise ParseError(f"--nvars needs comma-separated integers (got {args.nvars!r})")
     seed = _seed(args)
     ideals = corpus(seed=seed, count=args.count, field=field, nvars_options=nvars)
     jobs = max(1, args.jobs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from .artin import _monomials_of_total_degree
+from .errors import GradixError
 from .fields import GF
 from .groebner import Ideal, standard_monomials
 from .poly import RingSpec
@@ -26,13 +27,14 @@ def random_graded_m_primary(
     max_length: int = 60,
 ) -> Ideal:
     field = ring.field
+    top = field.characteristic - 1 if field.characteristic else 9
     while True:
         gens = [ring.var(n) ** rng.randint(1, max_power) for n in ring.names]
         for _ in range(rng.randint(0, max_extra_forms)):
             d = rng.randint(1, max_form_degree)
             f = ring.zero()
             for m in _monomials_of_total_degree(ring.npres, d):
-                f = f + ring.monomial(m, field.from_int(rng.randint(0, field.characteristic - 1 or 9)))
+                f = f + ring.monomial(m, field.from_int(rng.randint(0, top)))
             if not f.is_zero():
                 gens.append(f)
         I = Ideal(ring, gens)
@@ -43,6 +45,10 @@ def random_graded_m_primary(
 
 def corpus(seed: int, count: int, field=None, nvars_options=(2, 3), **kwargs) -> list[Ideal]:
     field = field or GF(3)
+    if not all(1 <= n <= len(VAR_NAMES) for n in nvars_options):
+        raise GradixError(
+            f"corpus rings have 1 to {len(VAR_NAMES)} variables (got {list(nvars_options)})"
+        )
     rng = random.Random(seed)
     rings = {n: RingSpec.make(field, VAR_NAMES[:n]) for n in nvars_options}
     out = []

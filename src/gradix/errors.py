@@ -62,10 +62,6 @@ class RadicalNotMaximal(ScopeError):
     pass
 
 
-class SmallCharacteristicUncertified(ScopeError):
-    pass
-
-
 class MissingBound(ScopeError):
     pass
 

@@ -172,11 +172,6 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def _same_field(f1, f2):
-    if f1 != f2:
-        raise FieldMismatch(f"elements over {f1} and {f2} cannot be combined")
-
-
 def field_add(field, a, b):
     """Exact sum of two canonical elements of `field`."""
     return field.add(field.validate(a), field.validate(b))

@@ -382,7 +382,7 @@ def quotient(I: Ideal, f: Polynomial) -> Ideal:
     (adjoining relations to it would break exact divisibility).
     """
     if f.is_zero():
-        raise ZeroDivisionError("colon by zero")
+        raise GradixError("colon by the zero polynomial")
     ring = I.ring
     if ring.has_laurent:
         shadow = RingSpec.make(ring.field, ring.pres_names, ring.pres_weights)
@@ -397,7 +397,7 @@ def quotient(I: Ideal, f: Polynomial) -> Ideal:
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """(I : f^infinity) by inverse adjunction: eliminate u from I + (u*f - 1)."""
     if f.is_zero():
-        raise ZeroDivisionError("saturation by zero")
+        raise GradixError("saturation by the zero polynomial")
     ring = I.ring
     u_name = _fresh_name(ring, "u")
     ext = _extended_ring(ring, [u_name])
@@ -405,11 +405,6 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     gens = [map_to_ring(g, ext) for g in I.basis_gens]
     gens.append(u * map_to_ring(f, ext) - ext.one())
     return eliminate(Ideal(ext, gens), [u_name], target_ring=ring)
-
-
-def quotient_ideal(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) as the intersection of (I : g) over generators of J."""
-    return intersect_many([quotient(I, g) for g in J.gens])
 
 
 # ---------------------------------------------------------------------------

@@ -144,40 +144,6 @@ def _require_irrelevant_primary(I: Ideal) -> QuotientBasis:
     return quotient_basis(I)
 
 
-class _DualSpace:
-    """Contraction action on dual coordinates (the F_s basis)."""
-
-    def __init__(self, Q: QuotientBasis):
-        self.Q = Q
-        self.field = Q.ring.field
-
-    def nf_vec(self, m: tuple):
-        return self.Q.nf_monomial(m)
-
-    def transpose_apply(self, i: int, coords):
-        """Contraction by x_i in F-coordinates: transpose of the
-        multiplication matrix."""
-        field = self.field
-        out = [field.zero()] * self.Q.dimension
-        cols = self.Q.columns[i]
-        for j in range(self.Q.dimension):
-            acc = field.zero()
-            for r, a in cols[j].items():
-                if not field.is_zero(coords[r]):
-                    acc = field.add(acc, field.mul(a, coords[r]))
-            out[j] = acc
-        return out
-
-    def monomial_contract(self, m: tuple, coords):
-        out = coords
-        for i, e in enumerate(m):
-            for _ in range(e):
-                out = self.transpose_apply(i, out)
-        return out
-
-
-
-
 def _minimal_generator_coords(Q: QuotientBasis) -> list[list]:
     """Coordinates (in the F_s basis) of minimal contraction generators of
     the dual module: unit vectors completing the row space of the
@@ -205,16 +171,15 @@ def _minimal_generator_coords(Q: QuotientBasis) -> list[list]:
     return coords
 
 
-def _dual_poly_from_coords(dual: _DualSpace, coords, bound: int) -> DualPoly:
+def _dual_poly_from_coords(Q: QuotientBasis, coords, bound: int) -> DualPoly:
     """F = sum over monomials m of <NF(m), coords> X^m, cut off at the
     certified power bound."""
-    Q = dual.Q
-    field = dual.field
+    field = Q.ring.field
     terms: dict = {}
     n = Q.ring.npres
     for d in range(bound):
         for m in _monomials_of_degree(n, d):
-            v = dual.nf_vec(m)
+            v = Q.nf_monomial(m)
             acc = field.zero()
             for a, b in zip(v, coords):
                 if not field.is_zero(a) and not field.is_zero(b):
@@ -224,7 +189,7 @@ def _dual_poly_from_coords(dual: _DualSpace, coords, bound: int) -> DualPoly:
     return DualPoly(Q.ring, terms)
 
 
-def _verify_generation(Q: QuotientBasis, dual: _DualSpace, coord_list) -> None:
+def _verify_generation(Q: QuotientBasis, coord_list) -> None:
     """The contraction closure of the generators must be the whole dual."""
     field = Q.ring.field
     closure = Span(field, Q.dimension)
@@ -235,7 +200,7 @@ def _verify_generation(Q: QuotientBasis, dual: _DualSpace, coord_list) -> None:
         nxt = []
         for c in frontier:
             for i in range(Q.ring.npres):
-                img = dual.transpose_apply(i, c)
+                img = Q.apply_var_transpose(i, c)
                 if closure.add(img):
                     nxt.append(img)
         frontier = nxt
@@ -246,16 +211,15 @@ def _verify_generation(Q: QuotientBasis, dual: _DualSpace, coord_list) -> None:
 def inverse_system(I: Ideal) -> InverseSystem:
     """Minimal contraction generators of the dual module of R/I."""
     Q = _require_irrelevant_primary(I)
-    dual = _DualSpace(Q)
     bound = certified_power_bound(Q)
     coords = _minimal_generator_coords(Q)
-    _verify_generation(Q, dual, coords)
+    _verify_generation(Q, coords)
     sd = socle(Q).dimension
     if len(coords) != sd:
         raise GradixError(
             f"internal: {len(coords)} dual generators vs socle dimension {sd}"
         )
-    gens = [_dual_poly_from_coords(dual, c, bound) for c in coords]
+    gens = [_dual_poly_from_coords(Q, c, bound) for c in coords]
     return InverseSystem(I, bound, gens, coords, Q)
 
 
@@ -292,47 +256,23 @@ def annihilator(F: DualPoly, ring) -> Ideal:
     return Ideal(ring, list(ideal.groebner_basis()))
 
 
-def _component_kernels(inv: InverseSystem, dual: _DualSpace) -> list[list[list]]:
+def _component_kernels(inv: InverseSystem) -> list[list[list]]:
     """For each dual generator F, the kernel of v -> v o F on R/I
     coordinates (computed degree slice by slice when the ideal is graded,
     so lifts are homogeneous)."""
     Q = inv.quotient
     field = Q.ring.field
-    D = Q.dimension
-    out = []
     graded = inv.ideal.is_graded()
-    # columns: std monomial s acting on F, via the transpose matrices
+    out = []
     for coords in inv.generator_coords:
-        contract_of: dict[tuple, list] = {(0,) * Q.ring.npres: coords}
-
-        def col(m: tuple):
-            if m in contract_of:
-                return contract_of[m]
-            i = next(k for k, e in enumerate(m) if e)
-            prev = list(m)
-            prev[i] -= 1
-            v = dual.transpose_apply(i, col(tuple(prev)))
-            contract_of[m] = v
-            return v
-
-        columns = [col(m) for m in Q.monomials]
-        if graded:
-            slices: dict[int, list[int]] = {}
-            for j, dg in enumerate(Q.degrees):
-                slices.setdefault(dg, []).append(j)
-            kern = []
-            for dg in sorted(slices):
-                idxs = slices[dg]
-                rows = [[columns[j][r] for j in idxs] for r in range(D)]
-                for kv in kernel_basis(field, rows, len(idxs)):
-                    full = [field.zero()] * D
-                    for pos, j in enumerate(idxs):
-                        full[j] = kv[pos]
-                    kern.append(full)
-        else:
-            rows = [[columns[j][r] for j in range(D)] for r in range(D)]
-            kern = kernel_basis(field, rows, D)
-        out.append(kern)
+        # column j is b_j o F; the standard monomials ascend, so the walk
+        # finds every divisor of b_j already memoized
+        contract_of = {(0,) * Q.ring.npres: coords}
+        columns = []
+        for m in Q.monomials:
+            vec = Q.walk(contract_of, m, Q.apply_var_transpose)
+            columns.append({r: c for r, c in enumerate(vec) if not field.is_zero(c)})
+        out.append(artin._kernel_by_degree(Q, columns, graded))
     return out
 
 
@@ -390,8 +330,7 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
         raise NotGraded("graded decomposition of a non-graded ideal")
     inv = inverse_system(I)
     Q = inv.quotient
-    dual = _DualSpace(Q)
-    kernels = _component_kernels(inv, dual)
+    kernels = _component_kernels(inv)
     field = Q.ring.field
     D = Q.dimension
 

@@ -39,14 +39,6 @@ def mono_lcm(u: tuple, v: tuple) -> tuple:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def mono_gcd(u: tuple, v: tuple) -> tuple:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
-def mono_totdeg(u: tuple) -> int:
-    return sum(u)
-
-
 def mono_coprime(u: tuple, v: tuple) -> bool:
     return all(a == 0 or b == 0 for a, b in zip(u, v))
 

@@ -14,7 +14,7 @@ from math import gcd as int_gcd
 from math import isqrt
 
 from .errors import GradixError
-from .fields import is_prime
+from .fields import PrimeField, is_prime
 
 
 def trim(cs, field):
@@ -116,13 +116,6 @@ def derivative(a, field):
     return trim(out, field)
 
 
-def eval_poly(a, x, field):
-    acc = field.zero()
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 def squarefree_part(f, field):
     """Radical of f, monic; exact over QQ and over any prime field."""
     if not f:
@@ -156,37 +149,6 @@ def squarefree_part(f, field):
 # GF(p) factorization (used by the rational irreducibility decision)
 
 
-class _Fp:
-    """Minimal field-op shim over Z/p."""
-
-    def __init__(self, p):
-        self.characteristic = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n % self.characteristic
-
-    def add(self, a, b):
-        return (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        return (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        return a * b % self.characteristic
-
-    def inv(self, a):
-        return pow(a, self.characteristic - 2, self.characteristic)
-
-    def is_zero(self, a):
-        return a % self.characteristic == 0
-
-
 def _mod_poly(a: list[int], m: int) -> list[int]:
     out = [c % m for c in a]
     while out and out[-1] == 0:
@@ -208,7 +170,7 @@ def _powmod_poly(base, e: int, modpoly, field):
 def ddf_degree_pattern(f: list[int], p: int) -> list[int] | None:
     """Multiset of irreducible factor degrees of f mod p, or None when the
     reduction drops degree or is not squarefree."""
-    F = _Fp(p)
+    F = PrimeField(p)
     fp = _mod_poly(f, p)
     if len(fp) != len(f):
         return None
@@ -235,7 +197,7 @@ def ddf_degree_pattern(f: list[int], p: int) -> list[int] | None:
 
 def _equal_degree_split(f, d, p, rng):
     """Cantor-Zassenhaus splitting of a product of degree-d irreducibles (p odd)."""
-    F = _Fp(p)
+    F = PrimeField(p)
     n = degree(f)
     if n == d:
         return [f]
@@ -259,7 +221,7 @@ def _equal_degree_split(f, d, p, rng):
 
 def factor_mod_p(f: list[int], p: int, rng) -> list[list[int]]:
     """Irreducible factors mod p of a monic squarefree reduction."""
-    F = _Fp(p)
+    F = PrimeField(p)
     fp = monic(_mod_poly(f, p), F)
     factors: list[list[int]] = []
     h = [0, 1]
@@ -486,7 +448,7 @@ def qq_irreducible(f, rng=None) -> bool:
     M = p
     while M <= bound:
         M *= M
-    F = _Fp(p)
+    F = PrimeField(p)
     lifted = []
     for u in factors:
         v = divmod_poly(monic(_mod_poly(g, p), F), u, F)[0]

@@ -115,3 +115,45 @@ def graded_quotient_dims(gens, ring, max_degree):
         rk = span_of(ring.field, len(monos), rows).dim
         dims.append(len(monos) - rk)
     return dims
+
+
+# ---------------------------------------------------------------------------
+# quotient-algebra reference: every product is multiplied out as a
+# polynomial and reduced by `naive_nf` against a `naive_groebner` basis
+
+
+def quotient_reference_basis(Q):
+    """A (non-reduced) Groebner basis of Q's ideal, independent of `Ideal`."""
+    return naive_groebner(list(Q.ideal.basis_gens), Q.order)
+
+
+def _as_poly(Q, vec):
+    field = Q.ring.field
+    terms = {m: c for m, c in zip(Q.monomials, vec) if not field.is_zero(c)}
+    return Polynomial(Q.ring, terms)
+
+
+def ref_coords(Q, f, basis):
+    """Coordinates over Q's standard monomials of the normal form of f."""
+    vec = [Q.ring.field.zero()] * Q.dimension
+    for m, c in naive_nf(f, basis, Q.order).terms.items():
+        vec[Q.index[m]] = c
+    return vec
+
+
+def ref_action_matrix(Q, g, basis):
+    """Rows of multiplication by g: column j is NF(g * b_j)."""
+    cols = [ref_coords(Q, g * Q.ring.monomial(b), basis) for b in Q.monomials]
+    return [[col[r] for col in cols] for r in range(Q.dimension)]
+
+
+def ref_multiply(Q, u, v, basis):
+    return ref_coords(Q, _as_poly(Q, u) * _as_poly(Q, v), basis)
+
+
+def ref_element_power(Q, vec, e, basis):
+    """vec^e by e successive products (no square-and-multiply)."""
+    out = ref_coords(Q, Q.ring.one(), basis)
+    for _ in range(e):
+        out = ref_multiply(Q, out, vec, basis)
+    return out

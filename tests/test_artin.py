@@ -3,6 +3,7 @@
 import pytest
 
 from gradix.artin import (
+    certified_power_bound,
     dehomogenize_units,
     graded_socle_rank,
     hilbert_function,
@@ -47,6 +48,13 @@ def test_quotient_basis_min_nonmonomial():
         ]
 
     assert matmul(Mx, My) == matmul(My, Mx)
+
+
+def test_certified_power_bound_of_a_deep_univariate_quotient():
+    # the monomial walk is iterative: a chain of 1200 steps must not recurse
+    R = RingSpec.make(GF(7), ("x",))
+    Q = quotient_basis(Ideal(R, [R.var("x") ** 1200]))
+    assert certified_power_bound(Q) == 1200
 
 
 def test_quotient_basis_errors():

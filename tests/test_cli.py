@@ -201,6 +201,31 @@ def test_quotient_and_saturate_commands(capsys):
     assert main(["saturate", "-i", fx("min_nonmonomial.gx"), "--ideal", "I", "--poly", "1"]) == 0
 
 
+@pytest.mark.parametrize("command", ["quotient", "saturate"])
+def test_colon_and_saturation_by_zero_are_usage_errors(capsys, command):
+    argv = [command, "-i", fx("min_nonmonomial.gx"), "--ideal", "I", "--poly", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_thm_over_qq(capsys):
+    code = main(["verify-thm", "--count", "3", "--seed", "1", "--field", "QQ", "--json"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ring"] == "QQ[2,3 variables]"
+    assert rep["result"]["passed"] == 3
+
+
+@pytest.mark.parametrize(
+    "option", [["--nvars", "5"], ["--nvars", "0"], ["--nvars", "a"], ["--field", "GF(x)"]]
+)
+def test_verify_thm_rejects_unsupported_input(capsys, option):
+    assert main(["verify-thm", "--count", "2", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_type_command(capsys):
     assert main(["type", "-i", fx("min_nonmonomial.gx"), "--ideal", "J1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
