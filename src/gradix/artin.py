@@ -12,6 +12,16 @@ reduce the acting polynomial g.
 The socle of a graded quotient is computed degree slice by degree slice so
 its basis is homogeneous by construction; the ungraded path stacks the
 multiplication matrices and takes one kernel.
+
+`radical_maximal_certify` is the one place that decides whether I is in
+certified scope, and the `RadicalCertificate` it returns owns the
+`QuotientBasis` of R/I it built to decide that.  Every layer that certifies
+an ideal reads R/I from the certificate (`residue_socle_dimension`, the
+inverse system, the truncated star, Nakayama counts) instead of rebuilding
+it, and a public call certifies each ideal once.  The quotient lives as
+long as the certificate, i.e. for one call: a memo of one quotient per
+ideal kept them alive across calls and raised the corpus benchmark's peak
+RSS past its 5% bound.
 """
 
 from __future__ import annotations
@@ -275,10 +285,17 @@ def _make_socle_data(Q: QuotientBasis, vectors) -> SocleData:
 
 @dataclass
 class RadicalCertificate:
+    """Scope decision for a zero-dimensional ideal I, together with the
+    quotient R/I it was decided on.  Callers take R/I from `quotient`
+    rather than building it again; the certificate, not the ideal, owns
+    it, so it is freed with the certificate at the end of the call (a
+    per-ideal memo outlived its calls and broke the peak-RSS bound)."""
+
     maximal: bool
     radical: Ideal
     residue_dimension: int
     irrelevant: bool  # radical equals the ideal of all variables
+    quotient: QuotientBasis  # R/I in the order the certificate was made for
 
 
 def minimal_polynomial(Q: QuotientBasis, element) -> list:
@@ -392,7 +409,7 @@ def radical_maximal_certify(I: Ideal, order=None) -> RadicalCertificate:
         if len(sq) != len(mp):
             extra.append(_univariate_to_poly(ring, sq, i))
     radical = Ideal(ring, list(I.gens) + extra) if extra else I
-    A = QuotientBasis(radical, order)
+    A = QuotientBasis(radical, order) if extra else Q
     d = A.dimension
     if d == 1:
         maximal = True
@@ -402,27 +419,31 @@ def radical_maximal_certify(I: Ideal, order=None) -> RadicalCertificate:
         maximal = _qq_is_field(A)
     vars_ideal = Ideal(ring, [ring.var(n) for n in ring.names])
     irrelevant = ideal_equal(radical, vars_ideal)
-    return RadicalCertificate(maximal, radical, d, irrelevant)
+    return RadicalCertificate(maximal, radical, d, irrelevant, Q)
 
 
 # ---------------------------------------------------------------------------
 # derived invariants
 
 
-def local_socle_dimension(I: Ideal) -> int:
-    """Socle dimension over the residue field for a zero-dimensional ideal
-    with maximal radical; this is the index of reducibility."""
-    cert = radical_maximal_certify(I)
+def residue_socle_dimension(cert: RadicalCertificate) -> int:
+    """Socle dimension of the certified quotient over its residue field;
+    this is the index of reducibility."""
     if not cert.maximal:
         raise RadicalNotMaximal(
             "radical is not maximal; the index of reducibility of general "
             "primary ideals is outside certified scope"
         )
-    Q = QuotientBasis(I)
-    sd = socle_wrt(Q, cert.radical.gens).dimension
+    sd = socle_wrt(cert.quotient, cert.radical.gens).dimension
     if sd % cert.residue_dimension:
         raise GradixError("internal: socle dimension not divisible by residue degree")
     return sd // cert.residue_dimension
+
+
+def local_socle_dimension(I: Ideal) -> int:
+    """Socle dimension over the residue field for a zero-dimensional ideal
+    with maximal radical; this is the index of reducibility."""
+    return residue_socle_dimension(radical_maximal_certify(I))
 
 
 def type_of_quotient(I: Ideal) -> int:

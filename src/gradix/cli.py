@@ -442,10 +442,6 @@ def _cmd_moh(args, report):
     return res, lines
 
 
-def _verify_chunk(ideals):
-    return reduc.verify_equivalence(ideals)
-
-
 def _cmd_verify_thm(args, report):
     field = _field_of(args.field)
     try:
@@ -460,11 +456,13 @@ def _cmd_verify_thm(args, report):
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [ideals[i::jobs] for i in range(jobs)]
+        # contiguous chunks, merged in order: failures keep corpus order
+        size = -(-len(ideals) // jobs) or 1
+        chunks = [ideals[i : i + size] for i in range(0, len(ideals), size)]
         rep = reduc.EquivalenceReport()
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_verify_chunk, chunks):
+                for part in pool.map(reduc.verify_equivalence, chunks):
                     rep.total += part.total
                     rep.passed += part.passed
                     rep.checks += part.checks

@@ -95,9 +95,6 @@ class Rationals:
     def random(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    def coeff_str(self, a) -> str:
-        return str(a)
-
     def __str__(self):
         return "QQ"
 
@@ -157,9 +154,6 @@ class PrimeField:
 
     def random(self, rng):
         return rng.randrange(self.characteristic)
-
-    def coeff_str(self, a) -> str:
-        return str(a)
 
     def __str__(self):
         return f"GF({self.characteristic})"

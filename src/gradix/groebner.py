@@ -242,9 +242,6 @@ class Ideal:
     def contains(self, f: Polynomial, order=None) -> bool:
         return self.normal_form(f, order).is_zero()
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.basis_gens)
-
     def equals(self, other: "Ideal") -> bool:
         if self.ring != other.ring:
             raise RingMismatch("ideals over different rings")

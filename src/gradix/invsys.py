@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .artin import (
     QuotientBasis,
+    RadicalCertificate,
     _monomials_of_total_degree as _monomials_of_degree,
     certified_power_bound,
     quotient_basis,
@@ -30,7 +31,7 @@ from .errors import (
     ScopeError,
 )
 from .groebner import Ideal, ideal_equal, intersect, intersect_many
-from .linalg import Span, kernel_basis
+from .linalg import Span, kernel_basis, span_of
 from .poly import Polynomial, is_homogeneous, mono_divides
 from . import artin
 
@@ -123,14 +124,14 @@ class InverseSystem:
     degree_bound: int  # m^degree_bound is certified inside the ideal
     generators: list  # DualPoly minimal generators under contraction
     generator_coords: list  # coordinates in the F_s basis
-    quotient: QuotientBasis
+    certificate: RadicalCertificate  # owns R/I
 
     @property
     def generator_count(self) -> int:
         return len(self.generators)
 
 
-def _require_irrelevant_primary(I: Ideal) -> QuotientBasis:
+def _require_irrelevant_primary(I: Ideal) -> RadicalCertificate:
     ring = I.ring
     if not ring.positively_graded:
         raise NotPositivelyGraded(
@@ -141,7 +142,7 @@ def _require_irrelevant_primary(I: Ideal) -> QuotientBasis:
         raise NotIrrelevantPrimary(
             "inverse systems need an ideal primary to the ideal of all variables"
         )
-    return quotient_basis(I)
+    return cert
 
 
 def _minimal_generator_coords(Q: QuotientBasis) -> list[list]:
@@ -210,7 +211,8 @@ def _verify_generation(Q: QuotientBasis, coord_list) -> None:
 
 def inverse_system(I: Ideal) -> InverseSystem:
     """Minimal contraction generators of the dual module of R/I."""
-    Q = _require_irrelevant_primary(I)
+    cert = _require_irrelevant_primary(I)
+    Q = cert.quotient
     bound = certified_power_bound(Q)
     coords = _minimal_generator_coords(Q)
     _verify_generation(Q, coords)
@@ -220,7 +222,7 @@ def inverse_system(I: Ideal) -> InverseSystem:
             f"internal: {len(coords)} dual generators vs socle dimension {sd}"
         )
     gens = [_dual_poly_from_coords(Q, c, bound) for c in coords]
-    return InverseSystem(I, bound, gens, coords, Q)
+    return InverseSystem(I, bound, gens, coords, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,7 @@ def _component_kernels(inv: InverseSystem) -> list[list[list]]:
     """For each dual generator F, the kernel of v -> v o F on R/I
     coordinates (computed degree slice by slice when the ideal is graded,
     so lifts are homogeneous)."""
-    Q = inv.quotient
+    Q = inv.certificate.quotient
     field = Q.ring.field
     graded = inv.ideal.is_graded()
     out = []
@@ -276,25 +278,11 @@ def _component_kernels(inv: InverseSystem) -> list[list[list]]:
     return out
 
 
-def _membership_rows(W: Span, D: int, field) -> list[list]:
-    """Linear conditions for 'vector lies in W': the free coordinates of
-    the reduction against W, one row per free coordinate."""
-    free = [j for j in range(D) if j not in W.rows]
-    reduced_units = []
-    for j in range(D):
-        e = [field.zero()] * D
-        e[j] = field.one()
-        reduced_units.append(W.reduce(e))
-    return [[reduced_units[j][r] for j in range(D)] for r in free]
-
-
 def _quotient_socle_dim_is_one(Q: QuotientBasis, kern: list[list]) -> bool:
     """Socle dimension of (R/I)/W for the subspace W, without new bases."""
     field = Q.ring.field
     D = Q.dimension
-    W = Span(field, D)
-    for v in kern:
-        W.add(v)
+    W = span_of(field, D, kern)
     free = [j for j in range(D) if j not in W.rows]
     if not free:
         return False
@@ -320,6 +308,7 @@ class DecompReport:
     all_graded: bool = False
     all_irreducible_certified: bool = False
     dual_generators: list = dc_field(default_factory=list)
+    certificate: RadicalCertificate | None = None  # of the ideal, with R/I
 
 
 def decompose(I: Ideal, graded: bool = False) -> DecompReport:
@@ -329,7 +318,7 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
     if graded and not I.is_graded():
         raise NotGraded("graded decomposition of a non-graded ideal")
     inv = inverse_system(I)
-    Q = inv.quotient
+    Q = inv.certificate.quotient
     kernels = _component_kernels(inv)
     field = Q.ring.field
     D = Q.dimension
@@ -342,12 +331,7 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
         components.append(Ideal(I.ring, list(I.gens) + lifts))
 
     # intersection = I: the joint kernel over all generators must vanish
-    member_rows = []
-    for kern in kernels:
-        W = Span(field, D)
-        for v in kern:
-            W.add(v)
-        member_rows.append(_membership_rows(W, D, field))
+    member_rows = [span_of(field, D, kern).membership_rows() for kern in kernels]
     if kernel_basis(field, [r for rows in member_rows for r in rows], D):
         raise GradixError("internal: decomposition does not intersect back to the ideal")
 
@@ -373,6 +357,7 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
         all_graded=all_graded,
         all_irreducible_certified=certified,
         dual_generators=inv.generators,
+        certificate=inv.certificate,
     )
 
 

@@ -57,6 +57,23 @@ class Span:
         self.rows[pivot] = v
         return True
 
+    def membership_rows(self) -> list[list]:
+        """Linear conditions for 'vector lies in the span': one row per
+        free (non-pivot) coordinate r, whose product with v is the r-th
+        coordinate of `reduce(v)`.  The rows are in reduced echelon form,
+        so that coordinate is v[r] minus v[p] * row_p[r] over the pivots p."""
+        f = self.field
+        out = []
+        for r in range(self.n):
+            if r in self.rows:
+                continue
+            cond = [f.zero()] * self.n
+            cond[r] = f.one()
+            for p, row in self.rows.items():
+                cond[p] = f.neg(row[r])
+            out.append(cond)
+        return out
+
     def basis(self) -> list[list]:
         return [self.rows[p] for p in sorted(self.rows)]
 

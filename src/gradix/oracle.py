@@ -17,7 +17,7 @@ from .artin import QuotientBasis
 from .errors import CapExceeded, GradixError
 from .groebner import Ideal
 from .gxparser import render
-from .linalg import Span, kernel_basis
+from .linalg import Span, kernel_basis, matvec
 
 DEFAULT_CAP = 200_000
 
@@ -100,22 +100,9 @@ class IdealLattice:
         n = self.algebra.dimension
         if not a.key or not b.key:
             return Subspace(())
-        rows = []
-        sb = self.span(b)
-        reduced_units = []
-        for j in range(n):
-            e = [field.zero()] * n
-            e[j] = field.one()
-            reduced_units.append(sb.reduce(e))
-        free = [j for j in range(n) if j not in sb.rows]
-        basis_a = [list(r) for r in a.key]
-        for r in free:
-            rows.append(
-                [
-                    sum_entries(field, (field.mul(reduced_units[j][r], v[j]) for j in range(n)))
-                    for v in basis_a
-                ]
-            )
+        basis_a = a.key
+        # combinations of a's basis that satisfy b's membership conditions
+        rows = [matvec(field, basis_a, cond) for cond in self.span(b).membership_rows()]
         kern = kernel_basis(field, rows, len(basis_a))
         out = Span(field, n)
         for c in kern:
@@ -125,13 +112,6 @@ class IdealLattice:
                     vec = [field.add(x, field.mul(coef, y)) for x, y in zip(vec, v)]
             out.add(vec)
         return Subspace(out.key())
-
-
-def sum_entries(field, it):
-    acc = field.zero()
-    for x in it:
-        acc = field.add(acc, x)
-    return acc
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -184,11 +164,7 @@ def enumerate_ideals(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> IdealLattice:
         closed = True
         for row in key:
             for M in A.matrices:
-                img = [
-                    sum_entries(field, (field.mul(M[r][j], row[j]) for j in range(n)))
-                    for r in range(n)
-                ]
-                if not span.contains(img):
+                if not span.contains(matvec(field, M, row)):
                     closed = False
                     break
             if not closed:

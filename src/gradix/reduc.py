@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import artin, invsys
-from .artin import quotient_basis, radical_maximal_certify
+from .artin import radical_maximal_certify
 from .errors import (
     ContainmentFailure,
     GradixError,
@@ -85,11 +85,11 @@ def decompose_report(I: Ideal, graded: bool = False) -> DecompReport:
     """Decomposition via the inverse system, with the graded index checked
     against the plain index for graded inputs."""
     rep = invsys.decompose(I, graded=graded)
-    r = index_of_reducibility(I)
+    r = artin.residue_socle_dimension(rep.certificate)
     if rep.r != r:
         raise GradixError("internal: component count differs from the socle dimension")
     if I.is_graded():
-        rg = graded_index(I)
+        rg = artin.graded_socle_rank(rep.certificate.quotient).rank
         rep.r_graded = rg
         if r != rg:
             raise TheoremContradiction(
@@ -133,7 +133,7 @@ def index_of_star_ideal(S: Ideal, seed: int = 0) -> int:
     try:
         cert = radical_maximal_certify(S)
         if cert.irrelevant:
-            return artin.local_socle_dimension(S)
+            return artin.residue_socle_dimension(cert)
     except NotZeroDimensional:
         pass
     rng = random.Random(seed or 0x57A2)
@@ -188,7 +188,7 @@ def local_min_generators(I: Ideal, at: Ideal, modulo: Ideal | None = None) -> in
         J = J + modulo
     # span the residue-field module I/(at*I) over k: generators times a
     # k-basis of the residue field (lifted from the quotient by `at`)
-    residue_basis = [at.ring.monomial(m) for m in quotient_basis(at).monomials]
+    residue_basis = [at.ring.monomial(m) for m in cert.quotient.monomials]
     nfs = [J.normal_form(b * g) for g in I.gens for b in residue_basis]
     support = sorted({m for f in nfs for m in f.terms})
     index = {m: i for i, m in enumerate(support)}
@@ -211,7 +211,7 @@ def compare_star(I: Ideal) -> StarComparison:
     cert = radical_maximal_certify(I)
     if not cert.maximal:
         raise ScopeError("compare_star needs a zero-dimensional ideal with maximal radical")
-    r = artin.local_socle_dimension(I)
+    r = artin.residue_socle_dimension(cert)
     st = star(I)
     r_star = index_of_star_ideal(st.ideal)
     mu = local_min_generators(I, cert.radical, modulo=st.ideal)
@@ -262,12 +262,14 @@ def verify_equivalence(corpus) -> EquivalenceReport:
         rep.total += 1
         problems = []
         try:
-            r = index_of_reducibility(I)
-            rg = graded_index(I)
+            # r and the graded socle rank are read off the certificate the
+            # decomposition made, so I is certified and R/I built once
+            dec = invsys.decompose(I, graded=True)
+            r = artin.residue_socle_dimension(dec.certificate)
+            rg = artin.graded_socle_rank(dec.certificate.quotient).rank
             rep.checks += 1
             if r != rg:
                 problems.append(f"r={r} differs from graded index {rg}")
-            dec = invsys.decompose(I, graded=True)
             rep.checks += 1
             if dec.r != r:
                 problems.append(f"decomposition length {dec.r} differs from r={r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .artin import (
-    QuotientBasis,
     _monomials_of_total_degree,
     certified_power_bound,
     radical_maximal_certify,
@@ -43,9 +42,6 @@ class StarResult:
     certificate: str  # CERTIFIED | BOUNDED | CERTIFIED_LAMBDA
     bound: int | None = None
     finite_field_caveat: bool = False
-
-    def is_certified(self) -> bool:
-        return self.certificate in (CERTIFIED, CERTIFIED_LAMBDA)
 
 
 def _assert_star_invariants(I: Ideal, result: Ideal) -> None:
@@ -97,10 +93,9 @@ def star_truncated(I: Ideal, bound: int | None = None) -> StarResult:
     cutoff = bound
     extra_gens: list[Polynomial] = []
     try:
-        Q = QuotientBasis(I)
         cert = radical_maximal_certify(I)
         if cert.irrelevant:
-            D = certified_power_bound(Q)
+            D = certified_power_bound(cert.quotient)
             cutoff = D - 1
             certified = True
             extra_gens = [
@@ -166,18 +161,17 @@ def star_lambda(I: Ideal) -> StarResult:
 
 def star(I: Ideal) -> StarResult:
     """Dispatch: graded inputs are fixed points; irrelevant-primary inputs
-    use the certified truncated method; everything else uses the lambda
-    method, cross-checked against truncated data when weights allow."""
+    use the certified truncated method (which refuses every other input with
+    MissingBound); everything else uses the lambda method, cross-checked
+    against truncated data when weights allow."""
     ring = I.ring
     if I.is_graded():
         out = _reduced(I)
         return StarResult(out, "identity", CERTIFIED)
     if ring.positively_graded:
         try:
-            cert = radical_maximal_certify(I)
-            if cert.irrelevant:
-                return star_truncated(I)
-        except NotZeroDimensional:
+            return star_truncated(I)
+        except MissingBound:
             pass
     res = star_lambda(I)
     if ring.positively_graded:

@@ -270,3 +270,20 @@ def test_exit_code_3_reserved_for_contradictions(capsys, monkeypatch):
     assert code == 3
     rep = json.loads(capsys.readouterr().out)
     assert rep["theorem_contradictions"][0]["statement"] == "synthetic"
+
+
+def test_verify_thm_jobs_keeps_corpus_order(capsys, monkeypatch):
+    from gradix import cli
+
+    _, ideals, _ = parse_document(
+        "ring GF(3)[x,y];\nideal A = x;\nideal B = y;\nideal C = x+y;\nideal D = x^2, y^2;"
+    )
+    monkeypatch.setattr(cli, "corpus", lambda **kw: [ideals[k] for k in "ABCD"])
+    reports = []
+    for jobs in ("1", "2"):
+        code = main(["verify-thm", "--count", "4", "--jobs", jobs, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"].pop("jobs") == int(jobs)
+        reports.append((code, report))
+    assert [f["ideal"] for f in reports[0][1]["result"]["failures"]] == ["x", "y", "x+y"]
+    assert reports[1] == reports[0]

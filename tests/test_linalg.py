@@ -41,3 +41,16 @@ def test_kernel_rank_nullity_gf5(rows):
         assert all(c == 0 for c in matvec(F, rows, v))
     # kernel vectors are independent
     assert rank(F, kern) == len(kern) if kern else True
+
+
+@given(matrices)
+def test_membership_rows_are_the_free_coordinates_of_the_reduction(rows):
+    F = GF(5)
+    s = span_of(F, 4, rows)
+    conds = s.membership_rows()
+    free = [r for r in range(4) if r not in s.rows]
+    assert len(conds) == len(free)
+    for j in range(4):
+        unit = [1 if k == j else 0 for k in range(4)]
+        reduced = s.reduce(unit)
+        assert [cond[j] for cond in conds] == [reduced[r] for r in free]
