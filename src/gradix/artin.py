@@ -11,7 +11,14 @@ reduce the acting polynomial g.
 
 The socle of a graded quotient is computed degree slice by degree slice so
 its basis is homogeneous by construction; the ungraded path stacks the
-multiplication matrices and takes one kernel.
+multiplication matrices and takes one kernel.  The index of reducibility
+of an ideal whose radical is the ideal of all variables is that socle,
+taken from the sparse columns; only other maximal radicals (translated
+points, non-rational residue fields) build dense action matrices of the
+radical's generators (`socle_wrt`), which stays the reference the column
+path is tested against.  Minimal polynomials store each reduced power
+with its pivot, so a new power is reduced in one pass over the stored
+ones.
 
 `radical_maximal_certify` is the one place that decides whether I is in
 certified scope, and the `RadicalCertificate` it returns owns the
@@ -263,8 +270,10 @@ def socle(Q: QuotientBasis) -> SocleData:
 
 
 def socle_wrt(Q: QuotientBasis, annihilators) -> SocleData:
-    """Basis of 0 : (g_1, ..., g_k) in R/I for arbitrary ideal generators."""
-    rows = [row for g in annihilators for row in Q.action_matrix(g)]
+    """Basis of 0 : (g_1, ..., g_k) in R/I for arbitrary ideal generators;
+    a generator inside I acts as zero and adds no rows."""
+    reduced = (Q.ideal.normal_form(g, Q.order) for g in annihilators)
+    rows = [row for g in reduced if not g.is_zero() for row in Q.action_matrix(g)]
     return _make_socle_data(Q, kernel_basis(Q.ring.field, rows, Q.dimension))
 
 
@@ -308,26 +317,29 @@ def minimal_polynomial(Q: QuotientBasis, element) -> list:
     else:
         elem = list(element)
         step = lambda v: Q.multiply(v, elem)
-    # track each power of the element against the span of earlier powers
-    aug: list[tuple[list, list]] = []  # (reduced vector, combination over powers)
+    # track each power of the element against the span of earlier powers;
+    # every stored vector is zero at the pivots stored before it, so one
+    # pass in insertion order reduces a new power completely
+    aug: list[tuple[int, list, list]] = []  # (pivot, reduced vector, combination over powers)
     power = Q.nf_monomial(Q._one)
     k = 0
     while True:
         combo = [field.zero()] * (k + 1)
         combo[k] = field.one()
         vec = list(power)
-        for red, cmb in aug:
-            pivot = next(i for i, c in enumerate(red) if not field.is_zero(c))
+        for pivot, red, cmb in aug:
+            if field.is_zero(vec[pivot]):
+                continue
             factor = field.div(vec[pivot], red[pivot])
-            if not field.is_zero(factor):
-                vec = [field.sub(a, field.mul(factor, b)) for a, b in zip(vec, red)]
-                for i, c in enumerate(cmb):
-                    combo[i] = field.sub(combo[i], field.mul(factor, c))
-        if all(field.is_zero(c) for c in vec):
+            vec = [field.sub(a, field.mul(factor, b)) for a, b in zip(vec, red)]
+            for i, c in enumerate(cmb):
+                combo[i] = field.sub(combo[i], field.mul(factor, c))
+        pivot = next((i for i, c in enumerate(vec) if not field.is_zero(c)), None)
+        if pivot is None:
             # dependency: sum combo_i * element^i = 0, normalized monic
             inv = field.inv(combo[k])
             return [field.mul(c, inv) for c in combo]
-        aug.append((vec, combo))
+        aug.append((pivot, vec, combo))
         power = step(power)
         k += 1
         if k > Q.dimension:
@@ -428,13 +440,24 @@ def radical_maximal_certify(I: Ideal, order=None) -> RadicalCertificate:
 
 def residue_socle_dimension(cert: RadicalCertificate) -> int:
     """Socle dimension of the certified quotient over its residue field;
-    this is the index of reducibility."""
+    this is the index of reducibility.
+
+    When the radical is the ideal of all variables (and no variable is a
+    Laurent unit) the socle is `socle(cert.quotient)`, read off the sparse
+    multiplication columns one degree slice at a time for graded ideals.
+    Any other maximal radical (a translated point, a residue field
+    QQ(sqrt c)) goes through `socle_wrt` and the action matrices of the
+    radical's generators."""
     if not cert.maximal:
         raise RadicalNotMaximal(
             "radical is not maximal; the index of reducibility of general "
             "primary ideals is outside certified scope"
         )
-    sd = socle_wrt(cert.quotient, cert.radical.gens).dimension
+    Q = cert.quotient
+    if cert.irrelevant and not Q.ring.has_laurent:
+        sd = socle(Q).dimension
+    else:
+        sd = socle_wrt(Q, cert.radical.gens).dimension
     if sd % cert.residue_dimension:
         raise GradixError("internal: socle dimension not divisible by residue degree")
     return sd // cert.residue_dimension

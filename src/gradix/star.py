@@ -89,25 +89,30 @@ def star_truncated(I: Ideal, bound: int | None = None) -> StarResult:
     ring = I.ring
     if not ring.positively_graded:
         raise NotPositivelyGraded("the truncated method needs positive weights")
-    certified = False
-    cutoff = bound
-    extra_gens: list[Polynomial] = []
+    D = None
     try:
         cert = radical_maximal_certify(I)
         if cert.irrelevant:
             D = certified_power_bound(cert.quotient)
-            cutoff = D - 1
-            certified = True
-            extra_gens = [
-                ring.monomial(m) for m in _monomials_of_total_degree(ring.npres, D)
-            ]
     except NotZeroDimensional:
         pass
-    if cutoff is None:
+    if D is not None:
+        return StarResult(_truncated(I, D - 1, D), "truncated", CERTIFIED)
+    if bound is None:
         raise MissingBound(
             "input is not primary to the ideal of all variables; supply a degree bound"
         )
-    gens: list[Polynomial] = list(extra_gens)
+    return StarResult(_truncated(I, bound), "truncated", BOUNDED, bound=bound)
+
+
+def _truncated(I: Ideal, cutoff: int, power: int | None = None) -> Ideal:
+    """The graded subideal spanned by the homogeneous elements of I supported
+    in total degree <= cutoff, plus every monomial of total degree `power`
+    (certified to lie in I by the caller)."""
+    ring = I.ring
+    gens: list[Polynomial] = []
+    if power is not None:
+        gens = [ring.monomial(m) for m in _monomials_of_total_degree(ring.npres, power)]
     wdegs = sorted(
         {
             ring.weighted_degree(m)
@@ -121,9 +126,7 @@ def star_truncated(I: Ideal, bound: int | None = None) -> StarResult:
         gens.extend(homogeneous_piece(I, wd, cutoff))
     out = _reduced(Ideal(ring, gens))
     _assert_star_invariants(I, out)
-    if certified:
-        return StarResult(out, "truncated", CERTIFIED)
-    return StarResult(out, "truncated", BOUNDED, bound=cutoff)
+    return out
 
 
 def star_lambda(I: Ideal) -> StarResult:
@@ -177,8 +180,9 @@ def star(I: Ideal) -> StarResult:
     if ring.positively_graded:
         degs = [g.total_degree() for g in I.gens if not g.is_zero()]
         bound = (max(degs) if degs else 1) + 2
-        probe = star_truncated(I, bound=bound)
-        for g in probe.ideal.groebner_basis():
+        # star_truncated(I) above already certified I and refused it, so
+        # the probe is the bounded solve alone
+        for g in _truncated(I, bound).groebner_basis():
             if not res.ideal.contains(g):
                 raise ConsistencyFailure(
                     "lambda and truncated methods disagree below the probe bound"

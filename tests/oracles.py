@@ -7,7 +7,7 @@ dimension counts by plain rank computations.  Slow and simple on purpose.
 
 from itertools import combinations
 
-from gradix.linalg import span_of
+from gradix.linalg import kernel_basis, span_of
 from gradix.poly import Polynomial, mono_div, mono_divides, mono_lcm
 
 
@@ -157,3 +157,20 @@ def ref_element_power(Q, vec, e, basis):
     for _ in range(e):
         out = ref_multiply(Q, out, vec, basis)
     return out
+
+
+def ref_minimal_polynomial(Q, vec, basis):
+    """Monic minimal polynomial (ascending coefficients) of vec: the first
+    k at which 1, vec, ..., vec^k (each from `ref_element_power`) are
+    linearly dependent, and the dependency from `kernel_basis`."""
+    field = Q.ring.field
+    powers = []
+    for k in range(Q.dimension + 1):
+        powers.append(ref_element_power(Q, vec, k, basis))
+        rows = [[p[r] for p in powers] for r in range(Q.dimension)]
+        kernel = kernel_basis(field, rows, k + 1)
+        if kernel:
+            (dep,) = kernel
+            inv = field.inv(dep[k])
+            return [field.mul(c, inv) for c in dep]
+    raise AssertionError("powers of an element stayed independent past the dimension")

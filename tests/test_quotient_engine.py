@@ -1,7 +1,9 @@
 """Differential tests of the quotient-algebra engine: action matrices,
-products, powers and monomial normal forms walked through
-`QuotientBasis.columns` must equal the reference that multiplies out
-polynomials and reduces them naively (`tests/oracles.py`)."""
+products, powers, monomial normal forms and minimal polynomials walked
+through `QuotientBasis.columns` must equal the reference that multiplies
+out polynomials and reduces them naively (`tests/oracles.py`), and the
+index read off the columns must equal the socle of the radical's action
+matrices (`socle_wrt`)."""
 
 import os
 import random
@@ -10,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix.artin import QuotientBasis
+from gradix.artin import (
+    QuotientBasis,
+    minimal_polynomial,
+    radical_maximal_certify,
+    residue_socle_dimension,
+    socle_wrt,
+)
 from gradix.errors import NotZeroDimensional
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal
@@ -22,6 +30,7 @@ from oracles import (
     ref_action_matrix,
     ref_coords,
     ref_element_power,
+    ref_minimal_polynomial,
     ref_multiply,
 )
 
@@ -90,15 +99,21 @@ _FIELDS = [GF(3), GF(7), QQ]
 @st.composite
 def m_primary_ideals(draw):
     """A small ideal primary to (all variables): a pure power of every
-    variable plus up to two random polynomials without constant term."""
+    variable plus up to two random polynomials without constant term,
+    each homogeneous when the ideal is drawn graded."""
     field = draw(st.sampled_from(_FIELDS))
     n = draw(st.integers(2, 3))
     ring = RingSpec.make(field, ("x", "y", "z")[:n])
     gens = [ring.var(v) ** draw(st.integers(1, 3)) for v in ring.names]
     monos = [m for m in _monomials_up_to(n, 3) if any(m)]
+    graded = draw(st.booleans())
     for _ in range(draw(st.integers(0, 2))):
+        pool = monos
+        if graded:
+            d = draw(st.integers(1, 3))
+            pool = [m for m in monos if sum(m) == d]
         f = ring.zero()
-        for m in draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4)):
+        for m in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
             f = f + ring.monomial(m, field.from_int(draw(st.integers(-3, 3))))
         gens.append(f)
     order = ORDERS[draw(st.sampled_from(sorted(ORDERS)))](n)
@@ -116,3 +131,37 @@ def test_engine_matches_reference_on_random_ideals(ideal_and_order, seed):
     for m in _monomials_up_to(ring.npres, 3):
         g = g + ring.monomial(m, ring.field.from_int(rng.randint(-2, 2)))
     _check_engine(Q, [g, g * g] + list(I.gens), rng)
+
+
+def _check_minimal_polynomials_and_socle(cert, rng):
+    """Minimal polynomials of every variable and of a random element
+    against the reference, and the index against `socle_wrt`."""
+    Q = cert.quotient
+    basis = quotient_reference_basis(Q)
+    n = Q.ring.npres
+    for i in range(n):
+        var = Q.nf_monomial(tuple(int(k == i) for k in range(n)))
+        assert minimal_polynomial(Q, i) == ref_minimal_polynomial(Q, var, basis), i
+    vec = _random_vec(Q, rng)
+    assert minimal_polynomial(Q, vec) == ref_minimal_polynomial(Q, vec, basis)
+    reference = socle_wrt(Q, cert.radical.gens).dimension
+    assert residue_socle_dimension(cert) == reference // cert.residue_dimension
+
+
+@pytest.mark.parametrize("fixture,name,order", _fixture_cases())
+def test_minimal_polynomial_and_index_match_reference_on_fixtures(fixture, name, order):
+    ring, ideals, _ = parse_file(os.path.join(FIX, fixture))
+    try:
+        cert = radical_maximal_certify(ideals[name], ORDERS[order](ring.npres))
+    except NotZeroDimensional:
+        pytest.skip("quotient is not finite-dimensional")
+    _check_minimal_polynomials_and_socle(cert, random.Random(fixture + name + order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_primary_ideals(), st.integers(0, 2**16))
+def test_minimal_polynomial_and_index_match_reference_on_random_ideals(ideal_and_order, seed):
+    I, order = ideal_and_order
+    cert = radical_maximal_certify(I, order)
+    assert cert.irrelevant  # the index is read off the columns
+    _check_minimal_polynomials_and_socle(cert, random.Random(seed))

@@ -1,5 +1,7 @@
 """Indices of reducibility, star comparisons, the equivalence harness."""
 
+import time
+
 import pytest
 
 from gradix.corpus import corpus
@@ -30,6 +32,16 @@ def P(s, ring=R2):
 
 def mnm_ideal(ring=R2):
     return Ideal(ring, [P("x^2+x*y", ring), P("x^2-y^2", ring), P("y^3", ring)])
+
+
+def test_index_of_a_deep_univariate_power_within_budget():
+    # minimal polynomials keep each stored power's pivot and the socle of
+    # an irrelevant-primary ideal is read off the columns; x^3000 used to
+    # run for minutes
+    R = RingSpec.make(GF(7), ("x",))
+    started = time.perf_counter()
+    assert index_of_reducibility(Ideal(R, [R.var("x") ** 3000])) == 1
+    assert time.perf_counter() - started < 60.0
 
 
 def star_gap(which):
