@@ -14,13 +14,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
+from typing import NamedTuple
 
 from . import artin, invsys, oracle, reduc
 from .corpus import corpus
 from .errors import GradixError, ParseError, ScopeError, TheoremContradiction
-from .fields import GF, QQ
 from .groebner import Ideal, eliminate, intersect, quotient, saturate
-from .gxparser import parse_file, parse_poly, render
+from .gxparser import parse_field, parse_file, parse_poly, render
 from .poly import GrevLex, Lex, RingSpec
 from .star import star, star_lambda, star_truncated
 
@@ -33,106 +34,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p, ideal=True):
-    p.add_argument("-i", "--input", required=True, help=".gx input document")
-    if ideal:
-        p.add_argument("--ideal", required=True, help="name of the ideal to use")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--order", choices=["grevlex", "lex"], default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def build_parser() -> _Parser:
-    ap = _Parser(prog="gradix", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    simple = {
-        "gb": "reduced Groebner basis",
-        "socle": "socle basis and dimension",
-        "hilbert": "Hilbert function of the graded quotient",
-        "type": "Cohen-Macaulay type of the Artinian quotient",
-        "index": "index of reducibility",
-        "gindex": "graded index of reducibility",
-        "star": "largest graded subideal",
-        "compare-star": "compare the ideal with its largest graded subideal",
-        "oracle": "exhaustive lattice verification on the finite quotient",
-    }
-    for name, help_ in simple.items():
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        if name == "star":
-            p.add_argument("--bound", type=int, default=None)
-            p.add_argument(
-                "--method", choices=["auto", "truncated", "lambda"], default="auto"
-            )
-
-    p = sub.add_parser("nf", help="normal form of a polynomial")
-    _add_common(p)
-    p.add_argument("--poly", required=True)
-
-    p = sub.add_parser("member", help="ideal membership of a polynomial")
-    _add_common(p)
-    p.add_argument("--poly", required=True)
-
-    p = sub.add_parser("intersect", help="intersection of two ideals")
-    _add_common(p, ideal=False)
-    p.add_argument("--ideals", required=True, help="comma-separated ideal names")
-    for name in ("quotient", "saturate"):
-        p = sub.add_parser(name, help=f"{name} of an ideal by a polynomial")
-        _add_common(p)
-        p.add_argument("--poly", required=True)
-
-    p = sub.add_parser("eliminate", help="eliminate variables")
-    _add_common(p)
-    p.add_argument("--vars", required=True, help="comma-separated variable names")
-
-    p = sub.add_parser("decompose", help="irreducible decomposition")
-    _add_common(p)
-    p.add_argument("--graded", action="store_true")
-
-    p = sub.add_parser("verify", help="verify a supplied decomposition")
-    _add_common(p)
-    p.add_argument("--parts", required=True, help="comma-separated ideal names")
-
-    p = sub.add_parser("moh", help="kernel of a monomial-plus-binomial curve map")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--field", default="QQ", help="QQ or GF(p)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
-
-    p = sub.add_parser("verify-thm", help="equivalence harness over a random corpus")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--field", default="GF(3)")
-    p.add_argument("--nvars", default="2,3")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
-    return ap
+# flags that several commands share, each declared once
+_INPUT = _arg("-i", "--input", required=True, help=".gx input document")
+_IDEAL = _arg("--ideal", required=True, help="name of the ideal to use")
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_ORDER = _arg("--order", choices=["grevlex", "lex"], default=None)
+_SEED = _arg("--seed", type=int, default=None)
+_TIMINGS = _arg("--timings", action="store_true", help="include wall-clock timings")
+_ON_IDEAL = (_INPUT, _IDEAL, _JSON, _ORDER, _SEED, _TIMINGS)
+_POLY = _arg("--poly", required=True)
 
 
-def _field_of(text: str):
-    text = text.strip()
-    if text == "QQ":
-        return QQ
-    if text.startswith("GF(") and text.endswith(")") and text[3:-1].isdigit():
-        return GF(int(text[3:-1]))
-    raise ParseError(f"unknown field {text!r}")
+class _Call(NamedTuple):
+    """What a command on a `.gx` document computes from."""
 
-
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("GRADIX_SEED", "0"))
-
-
-def _load(args):
-    ring, ideals, order = parse_file(args.input)
-    if getattr(args, "order", None):
-        order = Lex(ring.npres) if args.order == "lex" else GrevLex(ring.npres)
-    return ring, ideals, order
+    args: argparse.Namespace
+    ring: RingSpec
+    ideals: dict
+    order: object
+    ideal: Ideal | None  # the --ideal one, for commands that take it
+    report: dict
 
 
 def _get_ideal(ideals, name):
@@ -141,202 +66,132 @@ def _get_ideal(ideals, name):
     return ideals[name]
 
 
+def _on_document(compute):
+    """The handler of a command that reads `-i`: parse the document, apply
+    `--order`, look up `--ideal` when the command takes one, and return
+    compute(_Call) = (result, text lines).  The report names the ring only
+    once the command has returned, so error and refusal reports keep
+    `"ring": null`; a result that lives in another ring names it."""
+
+    def handler(args, report):
+        ring, ideals, order = parse_file(args.input)
+        if args.order:
+            order = Lex(ring.npres) if args.order == "lex" else GrevLex(ring.npres)
+        I = _get_ideal(ideals, args.ideal) if "ideal" in args else None
+        result, lines = compute(_Call(args, ring, ideals, order, I, report))
+        report["ring"] = result.get("ring", str(ring))
+        return result, lines
+
+    return handler
+
+
 def _ideal_json(I: Ideal) -> list[str]:
     return [render(g) for g in I.groebner_basis()] or ["0"]
 
 
+def _value(key, value):
+    return {key: value}, [str(value)]
+
+
+def _ideal_result(key, I: Ideal):
+    gens = _ideal_json(I)
+    return {key: gens}, gens
+
+
 # ---------------------------------------------------------------------------
-# command handlers: each returns (result_dict, text_lines)
+# commands on a document: each returns (result_dict, text_lines)
 
 
-def _cmd_gb(args, report):
-    ring, ideals, order = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    basis = I.groebner_basis(order)
-    report["ring"] = str(ring)
-    gens = [render(g) for g in basis]
+def _poly(c):
+    return parse_poly(c.args.poly, c.ring)
+
+
+def _gb(c):
+    gens = [render(g) for g in c.ideal.groebner_basis(c.order)]
     return {"basis": gens}, gens or ["0"]
 
 
-def _cmd_nf(args, report):
-    ring, ideals, order = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    f = parse_poly(args.poly, ring)
-    out = render(I.normal_form(f, order))
-    report["ring"] = str(ring)
-    return {"normal_form": out}, [out]
+def _nf(c):
+    return _value("normal_form", render(c.ideal.normal_form(_poly(c), c.order)))
 
 
-def _cmd_member(args, report):
-    ring, ideals, order = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    f = parse_poly(args.poly, ring)
-    val = I.contains(f, order)
-    report["ring"] = str(ring)
+def _member(c):
+    val = c.ideal.contains(_poly(c), c.order)
     return {"member": val}, ["true" if val else "false"]
 
 
-def _cmd_intersect(args, report):
-    ring, ideals, _ = _load(args)
-    names = [n.strip() for n in args.ideals.split(",")]
+def _intersect(c):
+    names = [n.strip() for n in c.args.ideals.split(",")]
     if len(names) < 2:
         raise ParseError("--ideals needs at least two names")
-    acc = _get_ideal(ideals, names[0])
+    acc = _get_ideal(c.ideals, names[0])
     for n in names[1:]:
-        acc = intersect(acc, _get_ideal(ideals, n))
-    report["ring"] = str(ring)
-    gens = _ideal_json(acc)
-    return {"intersection": gens}, gens
+        acc = intersect(acc, _get_ideal(c.ideals, n))
+    return _ideal_result("intersection", acc)
 
 
-def _cmd_quotient(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    f = parse_poly(args.poly, ring)
-    out = quotient(I, f)
-    report["ring"] = str(ring)
-    gens = _ideal_json(out)
-    return {"quotient": gens}, gens
-
-
-def _cmd_saturate(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    f = parse_poly(args.poly, ring)
-    out = saturate(I, f)
-    report["ring"] = str(ring)
-    gens = _ideal_json(out)
-    return {"saturation": gens}, gens
-
-
-def _cmd_eliminate(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    names = [n.strip() for n in args.vars.split(",") if n.strip()]
-    out = eliminate(I, names)
-    report["ring"] = str(out.ring)
+def _eliminate(c):
+    out = eliminate(c.ideal, [n.strip() for n in c.args.vars.split(",") if n.strip()])
     gens = _ideal_json(out)
     return {"elimination": gens, "ring": str(out.ring)}, gens
 
 
-def _cmd_socle(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    data = artin.socle(artin.quotient_basis(I))
-    report["ring"] = str(ring)
+def _socle(c):
+    data = artin.socle(artin.quotient_basis(c.ideal))
+    basis = [render(p) for p in data.polynomials]
     res = {
         "dimension": data.dimension,
-        "basis": [render(p) for p in data.polynomials],
+        "basis": basis,
         "degree_histogram": {str(k): v for k, v in sorted(data.degree_histogram.items())},
     }
-    lines = [f"dimension {data.dimension}"] + [render(p) for p in data.polynomials]
-    return res, lines
+    return res, [f"dimension {data.dimension}"] + basis
 
 
-def _cmd_hilbert(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    hf = artin.hilbert_function(artin.quotient_basis(I))
-    report["ring"] = str(ring)
+def _hilbert(c):
+    hf = artin.hilbert_function(artin.quotient_basis(c.ideal))
     return {"hilbert": hf}, [f"{d}: {v}" for d, v in hf]
 
 
-def _cmd_type(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    t = artin.type_of_quotient(I)
-    report["ring"] = str(ring)
-    return {"type": t}, [str(t)]
-
-
-def _cmd_index(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    r = reduc.index_of_reducibility(I)
-    report["ring"] = str(ring)
-    return {"index": r}, [str(r)]
-
-
-def _cmd_gindex(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    r = reduc.graded_index(I)
-    report["ring"] = str(ring)
-    return {"graded_index": r}, [str(r)]
-
-
-def _cmd_decompose(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    rep = reduc.decompose_report(I, graded=args.graded)
-    report["ring"] = str(ring)
-    res = {
-        "r": rep.r,
-        "r_graded": rep.r_graded,
-        "components": [_ideal_json(c) for c in rep.components],
-        "irredundant": rep.irredundant,
-        "all_graded": rep.all_graded,
-        "all_irreducible_certified": rep.all_irreducible_certified,
-    }
+def _decompose(c):
+    rep = reduc.decompose_report(c.ideal, graded=c.args.graded)
+    components = [_ideal_json(comp) for comp in rep.components]
+    flags = ("irredundant", "all_graded", "all_irreducible_certified")
+    res = {"r": rep.r, "r_graded": rep.r_graded, "components": components}
+    res.update((name, getattr(rep, name)) for name in flags)
     lines = [f"r = {rep.r}" + (f", graded index = {rep.r_graded}" if rep.r_graded else "")]
-    for i, c in enumerate(rep.components):
-        lines.append(f"component {i + 1}: " + ", ".join(_ideal_json(c)))
-    flags = []
-    for name in ("irredundant", "all_graded", "all_irreducible_certified"):
-        flags.append(("+" if res[name] else "-") + name)
-    lines.append(" ".join(flags))
+    lines += [f"component {i}: " + ", ".join(g) for i, g in enumerate(components, 1)]
+    lines.append(" ".join(("+" if res[name] else "-") + name for name in flags))
     return res, lines
 
 
-def _cmd_verify(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    parts = [_get_ideal(ideals, n.strip()) for n in args.parts.split(",")]
-    out = invsys.verify_decomposition(I, parts)
-    report["ring"] = str(ring)
-    res = {
-        "valid": out.valid,
-        "irredundant": out.irredundant,
-        "certificates": out.certificates,
-        "reason": out.reason,
-    }
+def _verify(c):
+    parts = [_get_ideal(c.ideals, n.strip()) for n in c.args.parts.split(",")]
+    out = invsys.verify_decomposition(c.ideal, parts)
     if out.valid:
-        word = "irredundant" if out.irredundant else "redundant"
-        lines = [f"valid ({word})"]
+        lines = [f"valid ({'irredundant' if out.irredundant else 'redundant'})"]
     else:
         lines = [f"invalid: {out.reason}"]
-    return res, lines
+    return asdict(out), lines
 
 
-def _cmd_star(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    if args.method == "truncated":
-        res = star_truncated(I, bound=args.bound)
-    elif args.method == "lambda":
-        res = star_lambda(I)
+def _star(c):
+    if c.args.method == "truncated":
+        res = star_truncated(c.ideal, bound=c.args.bound)
+    elif c.args.method == "lambda":
+        res = star_lambda(c.ideal)
     else:
-        res = star(I)
-    report["ring"] = str(ring)
-    report["certificates"]["star"] = res.certificate
+        res = star(c.ideal)
+    c.report["certificates"]["star"] = res.certificate
     if res.finite_field_caveat:
-        report["certificates"]["finite_field_caveat"] = True
+        c.report["certificates"]["finite_field_caveat"] = True
     gens = _ideal_json(res.ideal)
-    out = {
-        "star": gens,
-        "method": res.method,
-        "certificate": res.certificate,
-        "bound": res.bound,
-    }
+    out = {"star": gens, "method": res.method, "certificate": res.certificate, "bound": res.bound}
     return out, gens + [f"method {res.method}, certificate {res.certificate}"]
 
 
-def _cmd_compare_star(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    cmp = reduc.compare_star(I)
-    report["ring"] = str(ring)
-    report["certificates"]["star"] = cmp.star_result.certificate
+def _compare_star(c):
+    cmp = reduc.compare_star(c.ideal)
+    c.report["certificates"]["star"] = cmp.star_result.certificate
     res = {
         "r": cmp.r,
         "r_star": cmp.r_star,
@@ -356,12 +211,9 @@ def _cmd_compare_star(args, report):
     return res, lines
 
 
-def _cmd_oracle(args, report):
-    ring, ideals, _ = _load(args)
-    I = _get_ideal(ideals, args.ideal)
-    A = oracle.FiniteAlgebra.from_ideal(I)
+def _oracle(c):
+    A = oracle.FiniteAlgebra.from_ideal(c.ideal)
     rep = oracle.oracle_theorems(A)
-    report["ring"] = str(ring)
     res = {
         "lattice_size": rep.lattice_size,
         "graded_size": rep.graded_size,
@@ -379,7 +231,7 @@ def _cmd_oracle(args, report):
         f"checks {rep.checks}, failures {len(rep.failures)}",
     ]
     if rep.failures:
-        report["theorem_contradictions"].extend(rep.failures)
+        c.report["theorem_contradictions"].extend(rep.failures)
         lines.append(oracle.dump_fixture(A))
     return res, lines
 
@@ -430,7 +282,7 @@ def moh_command(n: int, l: int, field):
 
 
 def _cmd_moh(args, report):
-    field = _field_of(args.field)
+    field = parse_field(args.field)
     res = moh_command(args.n, args.l, field)
     report["ring"] = f"{field}[x,y,z]"
     lines = [
@@ -443,12 +295,12 @@ def _cmd_moh(args, report):
 
 
 def _cmd_verify_thm(args, report):
-    field = _field_of(args.field)
+    field = parse_field(args.field)
     try:
         nvars = tuple(int(x) for x in args.nvars.split(","))
     except ValueError:
         raise ParseError(f"--nvars needs comma-separated integers (got {args.nvars!r})")
-    seed = _seed(args)
+    seed = args.seed if args.seed is not None else int(os.environ.get("GRADIX_SEED", "0"))
     ideals = corpus(seed=seed, count=args.count, field=field, nvars_options=nvars)
     jobs = max(1, args.jobs)
     if jobs == 1:
@@ -471,43 +323,86 @@ def _cmd_verify_thm(args, report):
             print("process pool unavailable; running serially", file=sys.stderr)
             rep = reduc.verify_equivalence(ideals)
     report["ring"] = f"{field}[{args.nvars} variables]"
-    res = {
-        "total": rep.total,
-        "passed": rep.passed,
-        "checks": rep.checks,
-        "failures": rep.failures,
-        "seed": seed,
-    }
     if rep.failures:
         report["theorem_contradictions"].extend(rep.failures)
     lines = [
         f"corpus {rep.total} ideals, passed {rep.passed}, checks {rep.checks}",
         f"failures {len(rep.failures)}",
     ]
-    return res, lines
+    return {**asdict(rep), "seed": seed}, lines
 
+
+# ---------------------------------------------------------------------------
+# the command table: name -> (help, argparse declarations, compute).  A
+# command that reads `-i` computes from a _Call, the others are handlers.
+# The order is the one `gradix --help` and argparse's invalid-choice error
+# list the commands in.
+
+_COMMANDS = {
+    "gb": ("reduced Groebner basis", _ON_IDEAL, _gb),
+    "socle": ("socle basis and dimension", _ON_IDEAL, _socle),
+    "hilbert": ("Hilbert function of the graded quotient", _ON_IDEAL, _hilbert),
+    "type": ("Cohen-Macaulay type of the Artinian quotient", _ON_IDEAL,
+             lambda c: _value("type", artin.type_of_quotient(c.ideal))),
+    "index": ("index of reducibility", _ON_IDEAL,
+              lambda c: _value("index", reduc.index_of_reducibility(c.ideal))),
+    "gindex": ("graded index of reducibility", _ON_IDEAL,
+               lambda c: _value("graded_index", reduc.graded_index(c.ideal))),
+    "star": ("largest graded subideal", _ON_IDEAL + (
+        _arg("--bound", type=int, default=None),
+        _arg("--method", choices=["auto", "truncated", "lambda"], default="auto"),
+    ), _star),
+    "compare-star": ("compare the ideal with its largest graded subideal", _ON_IDEAL, _compare_star),
+    "oracle": ("exhaustive lattice verification on the finite quotient", _ON_IDEAL, _oracle),
+    "nf": ("normal form of a polynomial", _ON_IDEAL + (_POLY,), _nf),
+    "member": ("ideal membership of a polynomial", _ON_IDEAL + (_POLY,), _member),
+    "intersect": ("intersection of two ideals", (
+        _INPUT, _JSON, _ORDER, _SEED, _TIMINGS,
+        _arg("--ideals", required=True, help="comma-separated ideal names"),
+    ), _intersect),
+    "quotient": ("quotient of an ideal by a polynomial", _ON_IDEAL + (_POLY,),
+                 lambda c: _ideal_result("quotient", quotient(c.ideal, _poly(c)))),
+    "saturate": ("saturate of an ideal by a polynomial", _ON_IDEAL + (_POLY,),
+                 lambda c: _ideal_result("saturation", saturate(c.ideal, _poly(c)))),
+    "eliminate": ("eliminate variables", _ON_IDEAL + (
+        _arg("--vars", required=True, help="comma-separated variable names"),
+    ), _eliminate),
+    "decompose": ("irreducible decomposition", _ON_IDEAL + (
+        _arg("--graded", action="store_true"),
+    ), _decompose),
+    "verify": ("verify a supplied decomposition", _ON_IDEAL + (
+        _arg("--parts", required=True, help="comma-separated ideal names"),
+    ), _verify),
+    "moh": ("kernel of a monomial-plus-binomial curve map", (
+        _arg("--n", type=int, required=True),
+        _arg("--l", type=int, required=True),
+        _arg("--field", default="QQ", help="QQ or GF(p)"),
+        _JSON, _TIMINGS,
+    ), _cmd_moh),
+    "verify-thm": ("equivalence harness over a random corpus", (
+        _arg("--count", type=int, default=200),
+        _arg("--field", default="GF(3)"),
+        _arg("--nvars", default="2,3"),
+        _SEED,
+        _arg("--jobs", type=int, default=1),
+        _JSON, _TIMINGS,
+    ), _cmd_verify_thm),
+}
 
 _HANDLERS = {
-    "gb": _cmd_gb,
-    "nf": _cmd_nf,
-    "member": _cmd_member,
-    "intersect": _cmd_intersect,
-    "quotient": _cmd_quotient,
-    "saturate": _cmd_saturate,
-    "eliminate": _cmd_eliminate,
-    "socle": _cmd_socle,
-    "hilbert": _cmd_hilbert,
-    "type": _cmd_type,
-    "index": _cmd_index,
-    "gindex": _cmd_gindex,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
-    "star": _cmd_star,
-    "compare-star": _cmd_compare_star,
-    "oracle": _cmd_oracle,
-    "moh": _cmd_moh,
-    "verify-thm": _cmd_verify_thm,
+    name: _on_document(compute) if _INPUT in flags else compute
+    for name, (_, flags, compute) in _COMMANDS.items()
 }
+
+
+def build_parser() -> _Parser:
+    ap = _Parser(prog="gradix", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+    return ap
 
 
 def run(argv) -> tuple[int, dict]:

@@ -49,6 +49,8 @@ def corpus(seed: int, count: int, field=None, nvars_options=(2, 3), **kwargs) ->
         raise GradixError(
             f"corpus rings have 1 to {len(VAR_NAMES)} variables (got {list(nvars_options)})"
         )
+    if count < 0:
+        raise GradixError(f"corpus size must be non-negative (got {count})")
     rng = random.Random(seed)
     rings = {n: RingSpec.make(field, VAR_NAMES[:n]) for n in nvars_options}
     out = []

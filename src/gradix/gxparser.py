@@ -200,14 +200,18 @@ def _parse_expr(ts: _Stream, ring: RingSpec, min_prec: int) -> Polynomial:
             lhs = lhs - rhs
 
 
-def parse_poly(text: str, ring: RingSpec) -> Polynomial:
-    """Parse a single polynomial expression over an existing ring."""
-    ts = _Stream(tokenize(text))
-    p = _parse_expr(ts, ring, 1)
+def _whole(ts: _Stream, value):
+    """value, once the rule that produced it has consumed all of ts."""
     t = ts.peek()
     if t.kind != "EOF":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return p
+    return value
+
+
+def parse_poly(text: str, ring: RingSpec) -> Polynomial:
+    """Parse a single polynomial expression over an existing ring."""
+    ts = _Stream(tokenize(text))
+    return _whole(ts, _parse_expr(ts, ring, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +234,12 @@ def _parse_field(ts: _Stream):
         except GradixError as e:
             raise ParseError(str(e), pt.line, pt.col) from None
     raise ParseError(f"expected field (QQ or GF(p)), found {t.text!r}", t.line, t.col)
+
+
+def parse_field(text: str):
+    """Parse a coefficient field written as in a ring declaration: QQ or GF(p)."""
+    ts = _Stream(tokenize(text))
+    return _whole(ts, _parse_field(ts))
 
 
 def _parse_ring(ts: _Stream) -> RingSpec:
@@ -348,7 +358,11 @@ def parse_document(text: str):
 
 def parse_file(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_document(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text (byte {e.start}: {e.reason})") from None
+    return parse_document(text)
 
 
 # ---------------------------------------------------------------------------

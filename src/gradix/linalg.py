@@ -74,9 +74,6 @@ class Span:
             out.append(cond)
         return out
 
-    def basis(self) -> list[list]:
-        return [self.rows[p] for p in sorted(self.rows)]
-
     def key(self) -> tuple:
         """Canonical identity key (RREF rows as nested tuples)."""
         return tuple(tuple(self.rows[p]) for p in sorted(self.rows))

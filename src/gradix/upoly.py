@@ -136,12 +136,10 @@ def squarefree_part(f, field):
     if p == 0:
         return monic(v, field)
     # v carries the factors with multiplicity prime to p; strip them from u,
-    # what remains is a p-th power handled by recursion
-    w = u
-    g = gcd_poly(w, v, field)
-    while len(g) > 1:
-        w = divmod_poly(w, g, field)[0]
-        g = gcd_poly(w, v, field)
+    # what remains is a p-th power handled by recursion.  Each factor of v
+    # divides u at most deg u times, so gcd(u, v^deg u) is all of them at once.
+    g = gcd_poly(u, _powmod_poly(v, degree(u), u, field), field)
+    w = divmod_poly(u, g, field)[0]
     return monic(mul(v, squarefree_part(w, field), field), field)
 
 
@@ -167,6 +165,26 @@ def _powmod_poly(base, e: int, modpoly, field):
     return result
 
 
+def _distinct_degree(fp, F):
+    """Distinct-degree factorization of a monic squarefree fp over F = GF(p):
+    yields (d, the monic product of the degree-d irreducible factors of fp)
+    for each d that occurs, in increasing order."""
+    h = [0, 1]  # x^(p^d) mod rest
+    d = 0
+    rest = fp
+    while len(rest) > 1:
+        d += 1
+        if 2 * d > degree(rest):
+            yield degree(rest), rest  # what is left is irreducible
+            return
+        h = _powmod_poly(h, F.characteristic, rest, F)
+        g = gcd_poly(sub(h, [0, 1], F), rest, F)
+        if len(g) > 1:
+            yield d, g
+            rest = divmod_poly(rest, g, F)[0]
+            h = divmod_poly(h, rest, F)[1]
+
+
 def ddf_degree_pattern(f: list[int], p: int) -> list[int] | None:
     """Multiset of irreducible factor degrees of f mod p, or None when the
     reduction drops degree or is not squarefree."""
@@ -178,20 +196,8 @@ def ddf_degree_pattern(f: list[int], p: int) -> list[int] | None:
     if len(gcd_poly(fp, derivative(fp, F), F)) > 1:
         return None
     pattern: list[int] = []
-    h = [0, 1]  # x
-    d = 0
-    rest = fp
-    while len(rest) > 1:
-        d += 1
-        if 2 * d > degree(rest):
-            pattern.append(degree(rest))
-            break
-        h = _powmod_poly(h, p, rest, F)
-        g = gcd_poly(sub(h, [0, 1], F), rest, F)
-        if len(g) > 1:
-            pattern.extend([d] * (degree(g) // d))
-            rest = divmod_poly(rest, g, F)[0]
-            h = divmod_poly(h, rest, F)[1]
+    for d, g in _distinct_degree(fp, F):
+        pattern.extend([d] * (degree(g) // d))
     return sorted(pattern)
 
 
@@ -224,20 +230,8 @@ def factor_mod_p(f: list[int], p: int, rng) -> list[list[int]]:
     F = PrimeField(p)
     fp = monic(_mod_poly(f, p), F)
     factors: list[list[int]] = []
-    h = [0, 1]
-    d = 0
-    rest = fp
-    while len(rest) > 1:
-        d += 1
-        if 2 * d > degree(rest):
-            factors.append(rest)
-            break
-        h = _powmod_poly(h, p, rest, F)
-        g = gcd_poly(sub(h, [0, 1], F), rest, F)
-        if len(g) > 1:
-            factors.extend(_equal_degree_split(monic(g, F), d, p, rng))
-            rest = divmod_poly(rest, g, F)[0]
-            h = divmod_poly(h, rest, F)[1]
+    for d, g in _distinct_degree(fp, F):
+        factors.extend(_equal_degree_split(g, d, p, rng))
     return factors
 
 

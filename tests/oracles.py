@@ -174,3 +174,30 @@ def ref_minimal_polynomial(Q, vec, basis):
             inv = field.inv(dep[k])
             return [field.mul(c, inv) for c in dep]
     raise AssertionError("powers of an element stayed independent past the dimension")
+
+
+def ref_squarefree_part(f, field):
+    """Radical of f, monic, by the loop that strips the factors of
+    v = f / gcd(f, f') from gcd(f, f') one multiplicity at a time
+    (quadratic in the multiplicity)."""
+    from gradix.upoly import derivative, divmod_poly, gcd_poly, monic, mul
+
+    f = monic(f, field)
+    if len(f) == 1:
+        return [field.one()]
+    d = derivative(f, field)
+    p = field.characteristic
+    if not d:
+        return ref_squarefree_part([f[i] for i in range(0, len(f), p)], field)
+    u = gcd_poly(f, d, field)
+    if len(u) == 1:
+        return f
+    v = divmod_poly(f, u, field)[0]
+    if p == 0:
+        return monic(v, field)
+    w = u
+    g = gcd_poly(w, v, field)
+    while len(g) > 1:
+        w = divmod_poly(w, g, field)[0]
+        g = gcd_poly(w, v, field)
+    return monic(mul(v, ref_squarefree_part(w, field), field), field)

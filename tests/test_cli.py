@@ -217,13 +217,23 @@ def test_verify_thm_over_qq(capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [["--nvars", "5"], ["--nvars", "0"], ["--nvars", "a"], ["--field", "GF(x)"]]
+    "option",
+    [["--nvars", "5"], ["--nvars", "0"], ["--nvars", "a"], ["--field", "GF(x)"], ["--count", "-2"]],
 )
 def test_verify_thm_rejects_unsupported_input(capsys, option):
     assert main(["verify-thm", "--count", "2", *option]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "binary.gx"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["index", "-i", str(path), "--ideal", "I"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "UTF-8" in captured.err
 
 
 def test_type_command(capsys):

@@ -1,15 +1,24 @@
 """Univariate helpers: gcd, squarefree parts, rational irreducibility."""
 
+import random
+import time
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradix.fields import GF, QQ
 from gradix.upoly import (
+    ddf_degree_pattern,
     divmod_poly,
+    factor_mod_p,
     gcd_poly,
+    monic,
     mul,
     qq_irreducible,
     squarefree_part,
 )
+from oracles import ref_squarefree_part
 
 
 def QP(*cs):
@@ -44,6 +53,56 @@ def test_squarefree_gf3_mixed():
     f = [0, 0, 0, 1, 1]
     got = squarefree_part(f, F)
     assert got == mul([0, 1], [1, 1], F)  # x(x+1)
+
+
+@st.composite
+def gf_products(draw):
+    """(f, GF(p)): a product of random factors with multiplicities up to
+    2p + 1, so p-th powers and multiplicities divisible by p both occur."""
+    F = GF(draw(st.sampled_from([2, 3, 5, 7])))
+    p = F.characteristic
+    f = [F.from_int(draw(st.integers(1, p - 1)))]
+    for _ in range(draw(st.integers(1, 4))):
+        q = [F.from_int(c) for c in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))]
+        q.append(F.one())
+        for _ in range(draw(st.integers(1, 2 * p + 1))):
+            f = mul(f, q, F)
+    return f, F
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf_products())
+def test_squarefree_part_matches_the_one_factor_at_a_time_loop(case):
+    f, F = case
+    assert squarefree_part(f, F) == ref_squarefree_part(f, F)
+
+
+def test_squarefree_part_of_a_deep_power_within_budget():
+    # stripping t from t^2999 one factor at a time took over a second
+    F = GF(7)
+    started = time.perf_counter()
+    assert squarefree_part([0] * 3000 + [1], F) == [0, 1]
+    assert time.perf_counter() - started < 0.5
+
+
+def test_factor_mod_p_degrees_match_the_ddf_pattern():
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(200):
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))] + [1]
+        for p in (3, 5, 7, 11, 13):
+            pattern = ddf_degree_pattern(f, p)
+            if pattern is None:
+                continue
+            factors = factor_mod_p(f, p, rng)
+            assert sorted(len(g) - 1 for g in factors) == pattern
+            F = GF(p)
+            product = [F.one()]
+            for g in factors:
+                product = mul(product, g, F)
+            assert product == monic([c % p for c in f], F)
+            compared += 1
+    assert compared > 500
 
 
 def test_qq_irreducible_basics():
