@@ -301,19 +301,20 @@ def _cmd_verify_thm(args, report):
     except ValueError:
         raise ParseError(f"--nvars needs comma-separated integers (got {args.nvars!r})")
     seed = args.seed if args.seed is not None else int(os.environ.get("GRADIX_SEED", "0"))
+    if args.jobs < 1:
+        raise GradixError(f"--jobs needs a positive number of workers (got {args.jobs})")
     ideals = corpus(seed=seed, count=args.count, field=field, nvars_options=nvars)
-    jobs = max(1, args.jobs)
-    if jobs == 1:
+    if args.jobs == 1:
         rep = reduc.verify_equivalence(ideals)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # contiguous chunks, merged in order: failures keep corpus order
-        size = -(-len(ideals) // jobs) or 1
+        size = -(-len(ideals) // args.jobs) or 1
         chunks = [ideals[i : i + size] for i in range(0, len(ideals), size)]
         rep = reduc.EquivalenceReport()
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for part in pool.map(reduc.verify_equivalence, chunks):
                     rep.total += part.total
                     rep.passed += part.passed

@@ -67,10 +67,12 @@ class MissingBound(ScopeError):
 
 
 class CapExceeded(ScopeError):
-    def __init__(self, estimate: int, cap: int):
-        self.estimate = estimate
+    """A phase did more steps of work than its budget allows."""
+
+    def __init__(self, phase: str, cap: int):
+        self.phase = phase
         self.cap = cap
-        super().__init__(f"subspace enumeration estimate {estimate} exceeds cap {cap}")
+        super().__init__(f"{phase} passed its cap of {cap} steps")
 
 
 class ContainmentFailure(GradixError):

@@ -57,6 +57,13 @@ class Span:
         self.rows[pivot] = v
         return True
 
+    def copy(self) -> "Span":
+        """An independent span with the same rows; `add` replaces rows and
+        never edits one in place, so the row lists are shared."""
+        out = Span(self.field, self.n)
+        out.rows = dict(self.rows)
+        return out
+
     def membership_rows(self) -> list[list]:
         """Linear conditions for 'vector lies in the span': one row per
         free (non-pivot) coordinate r, whose product with v is the r-th

@@ -136,10 +136,17 @@ def squarefree_part(f, field):
     if p == 0:
         return monic(v, field)
     # v carries the factors with multiplicity prime to p; strip them from u,
-    # what remains is a p-th power handled by recursion.  Each factor of v
-    # divides u at most deg u times, so gcd(u, v^deg u) is all of them at once.
-    g = gcd_poly(u, _powmod_poly(v, degree(u), u, field), field)
-    w = divmod_poly(u, g, field)[0]
+    # what remains (w) is a p-th power handled by recursion.  Every factor of
+    # v still in w divides the last part h taken out, so gcd(w, h^2) takes
+    # out the next part, up to twice as deep: low multiplicities need a gcd
+    # or two, t^3000 a dozen, not one round per multiplicity.
+    h = gcd_poly(u, v, field)
+    w = divmod_poly(u, h, field)[0]
+    while len(w) > 1:
+        h = gcd_poly(w, mul(h, h, field), field)
+        if len(h) == 1:
+            break
+        w = divmod_poly(w, h, field)[0]
     return monic(mul(v, squarefree_part(w, field), field), field)
 
 

@@ -5,9 +5,9 @@ textbook Buchberger loop, a leading-term-only division loop, and graded
 dimension counts by plain rank computations.  Slow and simple on purpose.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from gradix.linalg import kernel_basis, span_of
+from gradix.linalg import kernel_basis, matvec, span_of
 from gradix.poly import Polynomial, mono_div, mono_divides, mono_lcm
 
 
@@ -201,3 +201,77 @@ def ref_squarefree_part(f, field):
         w = divmod_poly(w, g, field)[0]
         g = gcd_poly(w, v, field)
     return monic(mul(v, ref_squarefree_part(w, field), field), field)
+
+
+# ---------------------------------------------------------------------------
+# lattice reference: every reduced row echelon form over GF(p), kept when
+# it is closed under the variable matrices
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def subspace_count_estimate(n, q):
+    """Number of subspaces of GF(q)^n: the work of `ref_ideal_keys`."""
+    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
+def _all_rref(field, n):
+    """Every reduced row echelon form over the field, by dimension then
+    lexicographic pattern."""
+    values = list(range(field.characteristic))
+    yield ()
+    for k in range(1, n + 1):
+        for pivots in combinations(range(n), k):
+            free_cells = []
+            for i, p in enumerate(pivots):
+                for c in range(p + 1, n):
+                    if c not in pivots:
+                        free_cells.append((i, c))
+            for fill in product(values, repeat=len(free_cells)):
+                rows = [[field.zero()] * n for _ in range(k)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = field.one()
+                for (i, c), v in zip(free_cells, fill):
+                    rows[i][c] = field.from_int(v)
+                yield tuple(tuple(r) for r in rows)
+
+
+def ref_ideal_keys(A):
+    """(member keys, graded member keys) of a FiniteAlgebra over GF(p), in
+    the order of `_all_rref`: every subspace is tested for closure under
+    the variable matrices, and a member is graded when every degree
+    component of every basis row lies in it."""
+    field = A.field
+    n = A.dimension
+    members = []
+    graded = []
+    degree_set = sorted(set(A.degrees))
+    masks = {d: [i for i, dd in enumerate(A.degrees) if dd == d] for d in degree_set}
+    for key in _all_rref(field, n):
+        span = span_of(field, n, [list(row) for row in key])
+        closed = all(
+            span.contains(matvec(field, M, row)) for row in key for M in A.matrices
+        )
+        if not closed:
+            continue
+        members.append(key)
+        homogeneous = True
+        for row in key:
+            for d in degree_set:
+                comp = [field.zero()] * n
+                for i in masks[d]:
+                    comp[i] = row[i]
+                if not span.contains(comp):
+                    homogeneous = False
+                    break
+            if not homogeneous:
+                break
+        if homogeneous:
+            graded.append(key)
+    return members, graded

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gradix import artin
+from gradix import artin, invsys
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal
 from gradix.gxparser import parse_poly
@@ -103,3 +103,22 @@ def test_index_of_irrelevant_primary_ideal_builds_no_action_matrix(monkeypatch):
     monkeypatch.setattr(artin.QuotientBasis, "action_matrix", counting)
     assert index_of_reducibility(fixture()) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("call", [verify_equivalence, decompose_report])
+def test_socle_of_the_quotient_is_not_recomputed_for_the_graded_rank(monkeypatch, call):
+    """For a graded ideal primary to (x, y, z), r and the graded socle rank
+    are both the dimension of socle(R/I), so one kernel gives both; the
+    other socle(R/I) is the inverse system's check of its generator count."""
+    I = fixture()
+    calls = []
+    socle = artin.socle
+
+    def counting(Q):
+        calls.append(Q.ideal is I)
+        return socle(Q)
+
+    monkeypatch.setattr(artin, "socle", counting)
+    monkeypatch.setattr(invsys, "socle", counting)
+    call([I]) if call is verify_equivalence else call(I, graded=True)
+    assert calls.count(True) == 2

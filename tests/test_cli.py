@@ -133,6 +133,25 @@ def test_oracle_command(capsys):
     assert rep["result"]["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "document, refusal",
+    [
+        # not local: index 2 but socle 1, and the degree labels of 1, x are
+        # no grading of the quotient
+        ("ring GF(2)[x] weights(1);\nideal I = x^2+x;\n", "graded ideal"),
+        # the unit t has weight 0: socle 0
+        ("ring GF(3)[x,t,t^-1] weights(1,0);\nideal I = x^2, t-1;\n", "positive weights"),
+    ],
+)
+def test_oracle_refuses_what_it_cannot_decide(capsys, tmp_path, document, refusal):
+    path = tmp_path / "input.gx"
+    path.write_text(document)
+    assert main(["oracle", "-i", str(path), "--ideal", "I"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:") and refusal in captured.err
+
+
 def test_moh_parameters_validation():
     assert moh_parameters(1, 3) == 1
     assert moh_parameters(3, 25) == 2
@@ -218,7 +237,15 @@ def test_verify_thm_over_qq(capsys):
 
 @pytest.mark.parametrize(
     "option",
-    [["--nvars", "5"], ["--nvars", "0"], ["--nvars", "a"], ["--field", "GF(x)"], ["--count", "-2"]],
+    [
+        ["--nvars", "5"],
+        ["--nvars", "0"],
+        ["--nvars", "a"],
+        ["--field", "GF(x)"],
+        ["--count", "-2"],
+        ["--jobs", "0"],
+        ["--jobs", "-5"],
+    ],
 )
 def test_verify_thm_rejects_unsupported_input(capsys, option):
     assert main(["verify-thm", "--count", "2", *option]) == 1

@@ -1,24 +1,36 @@
 """Exhaustive lattice oracle on small finite algebras."""
 
-import pytest
+import os
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gradix.artin import QuotientBasis
 from gradix.errors import CapExceeded
 from gradix.fields import GF
 from gradix.groebner import Ideal
-from gradix.gxparser import parse_poly
+from gradix.gxparser import parse_file, parse_poly
 from gradix.oracle import (
     FiniteAlgebra,
     Subspace,
     dump_fixture,
     enumerate_ideals,
-    gaussian_binomial,
     oracle_index,
     oracle_irreducible,
     oracle_theorems,
     socle_dimension,
-    subspace_count_estimate,
 )
 from gradix.poly import RingSpec
+from oracles import (
+    gaussian_binomial,
+    monomials_of_degree,
+    ref_ideal_keys,
+    subspace_count_estimate,
+)
+from test_acceptance import ORACLE_FIXTURES
+
+FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def algebra(field, names, gens):
@@ -142,3 +154,87 @@ def test_fixture_dump_format():
 
     ring, ideals, _ = parse_document(text)
     assert "I" in ideals
+
+
+# ---------------------------------------------------------------------------
+# the cyclic-ideal search against the walk over every subspace
+
+
+def _same_lattice(A):
+    lat = enumerate_ideals(A)
+    members, graded = ref_ideal_keys(A)
+    assert [m.key for m in lat.members] == members
+    assert [m.key for m in lat.graded_members] == graded
+
+
+def _finite_algebra(I):
+    """R/I as a FiniteAlgebra without the oracle's scope checks, so that
+    non-graded quotients are enumerated too."""
+    Q = QuotientBasis(I)
+    mats = [Q.var_matrix(i) for i in range(I.ring.npres)]
+    return FiniteAlgebra(I.ring.field, Q.dimension, mats, list(Q.degrees))
+
+
+def _gf_fixture_ideals():
+    cases = []
+    for fixture in sorted(os.listdir(FIX)):
+        if fixture.endswith(".gx"):
+            ring, ideals, _ = parse_file(os.path.join(FIX, fixture))
+            if ring.field.characteristic:
+                cases += [(fixture, name) for name in sorted(ideals)]
+    return cases
+
+
+@pytest.mark.parametrize("fixture,name", _gf_fixture_ideals())
+def test_enumeration_matches_the_subspace_walk_on_fixtures(fixture, name):
+    _, ideals, _ = parse_file(os.path.join(FIX, fixture))
+    _same_lattice(_finite_algebra(ideals[name]))
+
+
+@pytest.mark.parametrize("field,names,gens", ORACLE_FIXTURES)
+def test_enumeration_matches_the_subspace_walk_on_oracle_fixtures(field, names, gens):
+    _same_lattice(algebra(field, names, gens))
+
+
+@st.composite
+def graded_algebras(draw):
+    """R/I for I = (all monomials of degree D) plus up to three random
+    forms of degree D - 1, over GF(2) of dimension <= 6 or GF(3) of
+    dimension <= 5 (the walk over GF(3)^6 takes over a second)."""
+    p = draw(st.sampled_from([3, 2]))
+    n = draw(st.sampled_from([2, 3, 1]))
+    ring = RingSpec.make(GF(p), ("x", "y", "z")[:n])
+    top = draw(st.sampled_from({1: [6, 5, 4], 2: [3, 2], 3: [3, 2]}[n]))
+    gens = [ring.monomial(m) for m in monomials_of_degree(ring, top)]
+    monos = monomials_of_degree(ring, top - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+        gens.append(sum((ring.monomial(m, c) for m, c in zip(monos, coeffs)), ring.zero()))
+    A = FiniteAlgebra.from_ideal(Ideal(ring, gens))
+    assume(A.dimension <= (6 if p == 2 else 5))
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_algebras())
+def test_enumeration_matches_the_subspace_walk_on_random_graded_algebras(A):
+    _same_lattice(A)
+
+
+@pytest.mark.parametrize(
+    "field,names,gens,size",
+    [
+        (GF(3), ("x", "y"), ["x^3", "x*y^2", "y^3"], 50),
+        (GF(2), ("x", "y"), ["x^3", "y^3"], 38),
+        (GF(2), ("x", "y", "z"), ["x^2", "y^2", "z^2"], 47),
+    ],
+)
+def test_lattices_past_the_old_subspace_cap_are_answered(field, names, gens, size):
+    A = algebra(field, names, gens)
+    # the walk over every subspace refused more than 200,000 of them
+    assert subspace_count_estimate(A.dimension, field.characteristic) > 200_000
+    rep = oracle_theorems(A)
+    assert rep.ok, rep.failures
+    assert rep.lattice_size == size
+    with pytest.raises(CapExceeded, match="ideal enumeration"):
+        enumerate_ideals(A, cap=100)

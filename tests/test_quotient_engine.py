@@ -3,7 +3,8 @@ products, powers, monomial normal forms and minimal polynomials walked
 through `QuotientBasis.columns` must equal the reference that multiplies
 out polynomials and reduces them naively (`tests/oracles.py`), and the
 index read off the columns must equal the socle of the radical's action
-matrices (`socle_wrt`)."""
+matrices (`socle_wrt`), and so must the graded socle rank of a graded
+ideal, which `reduc` takes to be that index."""
 
 import os
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from gradix.artin import (
     QuotientBasis,
+    graded_socle_rank,
     minimal_polynomial,
     radical_maximal_certify,
     residue_socle_dimension,
@@ -135,7 +137,8 @@ def test_engine_matches_reference_on_random_ideals(ideal_and_order, seed):
 
 def _check_minimal_polynomials_and_socle(cert, rng):
     """Minimal polynomials of every variable and of a random element
-    against the reference, and the index against `socle_wrt`."""
+    against the reference, and the index (and for a graded ideal the graded
+    socle rank) against `socle_wrt`."""
     Q = cert.quotient
     basis = quotient_reference_basis(Q)
     n = Q.ring.npres
@@ -146,6 +149,8 @@ def _check_minimal_polynomials_and_socle(cert, rng):
     assert minimal_polynomial(Q, vec) == ref_minimal_polynomial(Q, vec, basis)
     reference = socle_wrt(Q, cert.radical.gens).dimension
     assert residue_socle_dimension(cert) == reference // cert.residue_dimension
+    if Q.ideal.is_graded():
+        assert graded_socle_rank(Q).rank == reference // cert.residue_dimension
 
 
 @pytest.mark.parametrize("fixture,name,order", _fixture_cases())

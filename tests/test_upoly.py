@@ -77,6 +77,20 @@ def test_squarefree_part_matches_the_one_factor_at_a_time_loop(case):
     assert squarefree_part(f, F) == ref_squarefree_part(f, F)
 
 
+def test_squarefree_part_matches_the_loop_on_dense_low_multiplicity_products():
+    # several dense factors, each at most to the fourth power, over small
+    # and large primes: the common shape of a minimal polynomial
+    rng = random.Random(3)
+    for _ in range(150):
+        F = GF(rng.choice([3, 7, 32003]))
+        f = [F.one()]
+        for _ in range(rng.randint(2, 5)):
+            q = [F.from_int(rng.randrange(F.characteristic)) for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(1, 4)):
+                f = mul(f, q + [F.one()], F)
+        assert squarefree_part(f, F) == ref_squarefree_part(f, F)
+
+
 def test_squarefree_part_of_a_deep_power_within_budget():
     # stripping t from t^2999 one factor at a time took over a second
     F = GF(7)
