@@ -262,8 +262,7 @@ def verify_equivalence(corpus) -> EquivalenceReport:
         try:
             # r is read off the certificate the decomposition made, so I is
             # certified and R/I built once; the graded index is r itself
-            # (see decompose_report), so their agreement holds by
-            # construction and is counted as before, with the length check
+            # (see decompose_report), an agreement still counted as a check
             dec = invsys.decompose(I, graded=True)
             r = artin.residue_socle_dimension(dec.certificate)
             rep.checks += 2
