@@ -4,7 +4,7 @@
 Generates seeded random ideals primary to the ideal of all variables,
 checks that the two indices agree and that every graded-irreducible
 component passes the ungraded certificate, and prints a compact summary
-per (field, variable count) cell.
+per (field, variable count) cell.  Exits 1 when any ideal fails.
 
     python scripts/equivalence_experiment.py --count 200 --seed 1
 """
@@ -29,6 +29,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'field':>8} {'nvars':>6} {'ideals':>7} {'passed':>7} {'checks':>7} {'secs':>7}")
+    failed = 0
     for p in (int(x) for x in args.primes.split(",")):
         for nvars in (2, 3):
             t0 = time.perf_counter()
@@ -43,8 +44,10 @@ def main():
             )
             for f in rep.failures:
                 print("  FAILURE FIXTURE:", f)
+            failed += len(rep.failures)
     print("any failure above contradicts the graded/ungraded equivalence")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -29,6 +29,11 @@ it, and a public call certifies each ideal once.  The quotient lives as
 long as the certificate, i.e. for one call: a memo of one quotient per
 ideal kept them alive across calls and raised the corpus benchmark's peak
 RSS past its 5% bound.
+
+Ideals containing a certified I are read off subspaces of R/I in
+`gradix.overideal`; a quotient built there knows whether it is graded
+(`QuotientBasis.graded`), so the socle never asks its ideal for a
+Groebner basis to find out.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ from .upoly import qq_irreducible, squarefree_part
 class QuotientBasis:
     """Standard monomials of a zero-dimensional ideal together with the
     multiplication matrices of all presentation variables."""
+
+    _graded: bool | None = None  # set when built, else read once from the ideal
 
     def __init__(self, ideal: Ideal, order=None):
         self.ideal = ideal
@@ -84,6 +91,13 @@ class QuotientBasis:
             self._mono_nf: dict = {self._one: unit}
         else:
             self._mono_nf = {self._one: []}
+
+    @property
+    def graded(self) -> bool:
+        """Whether the ideal is graded (asked of the ideal at most once)."""
+        if self._graded is None:
+            self._graded = self.ideal.is_graded()
+        return self._graded
 
     # -- coordinates ---------------------------------------------------------
 
@@ -266,7 +280,7 @@ def socle(Q: QuotientBasis) -> SocleData:
         {(i, r): a for i in range(Q.ring.npres) for r, a in Q.columns[i][j].items()}
         for j in range(Q.dimension)
     ]
-    return _make_socle_data(Q, _kernel_by_degree(Q, columns, Q.ideal.is_graded()))
+    return _make_socle_data(Q, _kernel_by_degree(Q, columns, Q.graded))
 
 
 def socle_wrt(Q: QuotientBasis, annihilators) -> SocleData:
@@ -514,7 +528,7 @@ def dehomogenize_units(I: Ideal) -> Ideal:
 
 def hilbert_function(Q: QuotientBasis) -> list[tuple[int, int]]:
     """Dimensions of the graded pieces of R/I, ascending by degree."""
-    if not Q.ideal.is_graded():
+    if not Q.graded:
         raise NotGraded("Hilbert function needs a graded ideal")
     if not Q.ring.positively_graded:
         raise NotPositivelyGraded("Hilbert function needs positive weights")

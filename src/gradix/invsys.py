@@ -32,8 +32,9 @@ from .errors import (
 )
 from .groebner import Ideal, ideal_equal, intersect, intersect_many
 from .linalg import Span, kernel_basis, span_of
-from .poly import Polynomial, is_homogeneous, mono_divides
+from .poly import Polynomial, mono_divides
 from . import artin
+from .overideal import over_ideal_certificate
 
 
 class NotMonomial(ScopeError):
@@ -125,6 +126,7 @@ class InverseSystem:
     generators: list  # DualPoly minimal generators under contraction
     generator_coords: list  # coordinates in the F_s basis
     certificate: RadicalCertificate  # owns R/I
+    socle_dimension: int  # of R/I, which the generator count was checked against
 
     @property
     def generator_count(self) -> int:
@@ -222,7 +224,7 @@ def inverse_system(I: Ideal) -> InverseSystem:
             f"internal: {len(coords)} dual generators vs socle dimension {sd}"
         )
     gens = [_dual_poly_from_coords(Q, c, bound) for c in coords]
-    return InverseSystem(I, bound, gens, coords, cert)
+    return InverseSystem(I, bound, gens, coords, cert, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +280,6 @@ def _component_kernels(inv: InverseSystem) -> list[list[list]]:
     return out
 
 
-def _quotient_socle_dim_is_one(Q: QuotientBasis, kern: list[list]) -> bool:
-    """Socle dimension of (R/I)/W for the subspace W, without new bases."""
-    field = Q.ring.field
-    D = Q.dimension
-    W = span_of(field, D, kern)
-    free = [j for j in range(D) if j not in W.rows]
-    if not free:
-        return False
-    rows = []
-    for i in range(Q.ring.npres):
-        cols = []
-        for j in free:
-            e = [field.zero()] * D
-            e[j] = field.one()
-            cols.append(W.reduce(Q.apply_var(i, e)))
-        for r in free:
-            rows.append([col[r] for col in cols])
-    return len(kernel_basis(field, rows, len(free))) == 1
-
-
 @dataclass
 class DecompReport:
     ideal: Ideal
@@ -309,6 +291,8 @@ class DecompReport:
     all_irreducible_certified: bool = False
     dual_generators: list = dc_field(default_factory=list)
     certificate: RadicalCertificate | None = None  # of the ideal, with R/I
+    socle_dimension: int | None = None  # of R/I, from the inverse system
+    component_certificates: list = dc_field(default_factory=list)  # each with R/J
 
 
 def decompose(I: Ideal, graded: bool = False) -> DecompReport:
@@ -323,12 +307,10 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
     field = Q.ring.field
     D = Q.dimension
 
-    components = []
-    lifts_all = []
-    for kern in kernels:
-        lifts = [Q.to_poly(v) for v in kern]
-        lifts_all.append(lifts)
-        components.append(Ideal(I.ring, list(I.gens) + lifts))
+    # each component J is certified in R/J, built from its subspace J/I of
+    # R/I and the certificate of I, with no Groebner basis of J
+    certs = [over_ideal_certificate(inv.certificate, kern) for kern in kernels]
+    components = [c.quotient.ideal for c in certs]
 
     # intersection = I: the joint kernel over all generators must vanish
     member_rows = [span_of(field, D, kern).membership_rows() for kern in kernels]
@@ -343,12 +325,8 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
             irredundant = False
             break
 
-    certified = all(
-        _quotient_socle_dim_is_one(Q, kern) for kern in kernels
-    )
-    all_graded = graded and all(
-        all(is_homogeneous(g) for g in lifts) for lifts in lifts_all
-    )
+    certified = all(socle(c.quotient).dimension == 1 for c in certs)
+    all_graded = graded and all(c.quotient.graded for c in certs)
     return DecompReport(
         ideal=I,
         components=components,
@@ -358,6 +336,8 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
         all_irreducible_certified=certified,
         dual_generators=inv.generators,
         certificate=inv.certificate,
+        socle_dimension=inv.socle_dimension,
+        component_certificates=certs,
     )
 
 

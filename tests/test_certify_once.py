@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gradix import artin, invsys
+from gradix import artin, groebner, invsys
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal
 from gradix.gxparser import parse_poly
@@ -108,8 +108,9 @@ def test_index_of_irrelevant_primary_ideal_builds_no_action_matrix(monkeypatch):
 @pytest.mark.parametrize("call", [verify_equivalence, decompose_report])
 def test_socle_of_the_quotient_is_not_recomputed_for_the_graded_rank(monkeypatch, call):
     """For a graded ideal primary to (x, y, z), r and the graded socle rank
-    are both the dimension of socle(R/I), so one kernel gives both; the
-    other socle(R/I) is the inverse system's check of its generator count."""
+    are both the dimension of socle(R/I), and the inverse system already
+    took that socle to check its generator count, so one kernel gives all
+    three."""
     I = fixture()
     calls = []
     socle = artin.socle
@@ -121,4 +122,22 @@ def test_socle_of_the_quotient_is_not_recomputed_for_the_graded_rank(monkeypatch
     monkeypatch.setattr(artin, "socle", counting)
     monkeypatch.setattr(invsys, "socle", counting)
     call([I]) if call is verify_equivalence else call(I, graded=True)
-    assert calls.count(True) == 2
+    assert calls.count(True) == 1
+
+
+def test_verify_equivalence_builds_no_groebner_basis_for_a_component(monkeypatch):
+    """Every component J is certified in R/J, built from its subspace J/I
+    of R/I: verifying I runs exactly the Buchberger calls of decomposing I."""
+    calls = []
+    buchberger = groebner.buchberger
+
+    def counting(gens, order, ring):
+        calls.append(gens)
+        return buchberger(gens, order, ring)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    invsys.decompose(fixture(), graded=True)
+    decomposing = len(calls)
+    calls.clear()
+    assert verify_equivalence([fixture()]).ok
+    assert decomposing > 0 and len(calls) == decomposing

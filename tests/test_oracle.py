@@ -10,6 +10,7 @@ from gradix.artin import QuotientBasis
 from gradix.errors import CapExceeded
 from gradix.fields import GF
 from gradix.groebner import Ideal
+from gradix import oracle
 from gradix.gxparser import parse_file, parse_poly
 from gradix.oracle import (
     FiniteAlgebra,
@@ -194,6 +195,33 @@ def test_enumeration_matches_the_subspace_walk_on_fixtures(fixture, name):
 @pytest.mark.parametrize("field,names,gens", ORACLE_FIXTURES)
 def test_enumeration_matches_the_subspace_walk_on_oracle_fixtures(field, names, gens):
     _same_lattice(algebra(field, names, gens))
+
+
+@pytest.mark.parametrize(
+    "p,names,gens",
+    [(2, ("x",), ["x^2+x"]), (3, ("x", "y"), ["x^2+x", "y^2"])],
+)
+def test_enumeration_matches_the_subspace_walk_on_non_local_algebras(p, names, gens):
+    """x^2 + x splits R/I into two fields, so 1 + x is a zero divisor with
+    a nonzero constant term: the units cannot be skipped there."""
+    ring = RingSpec.make(GF(p), names)
+    _same_lattice(_finite_algebra(Ideal(ring, [parse_poly(g, ring) for g in gens])))
+
+
+def test_unit_points_are_not_closed(monkeypatch):
+    """R/(x^2, y^2) over GF(2) has 15 projective points; the 8 with a
+    nonzero constant term are units, and only the first of them is closed."""
+    closed = []
+    cyclic_ideal = oracle._cyclic_ideal
+
+    def counting(A, columns, v):
+        closed.append(v)
+        return cyclic_ideal(A, columns, v)
+
+    monkeypatch.setattr(oracle, "_cyclic_ideal", counting)
+    A = algebra(GF(2), ("x", "y"), ["x^2", "y^2"])
+    _same_lattice(A)
+    assert len(closed) == 15 - 8 + 1
 
 
 @st.composite

@@ -4,7 +4,9 @@ through `QuotientBasis.columns` must equal the reference that multiplies
 out polynomials and reduces them naively (`tests/oracles.py`), and the
 index read off the columns must equal the socle of the radical's action
 matrices (`socle_wrt`), and so must the graded socle rank of a graded
-ideal, which `reduc` takes to be that index."""
+ideal, which `reduc` takes to be that index.  R/J built from a subspace
+J/I of R/I (`overideal.quotient_of_subspace`) must equal R/J built from a
+Groebner basis of J."""
 
 import os
 import random
@@ -21,11 +23,14 @@ from gradix.artin import (
     residue_socle_dimension,
     socle_wrt,
 )
-from gradix.errors import NotZeroDimensional
+from gradix.errors import GradixError, NotZeroDimensional, RadicalNotMaximal, ScopeError
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal
 from gradix.gxparser import parse_file
-from gradix.poly import GrevLex, Lex, RingSpec
+from gradix.invsys import decompose
+from gradix.linalg import Span
+from gradix.overideal import over_ideal_certificate, quotient_of_subspace
+from gradix.poly import GrevLex, Lex, RingSpec, is_homogeneous
 
 from oracles import (
     quotient_reference_basis,
@@ -170,3 +175,92 @@ def test_minimal_polynomial_and_index_match_reference_on_random_ideals(ideal_and
     cert = radical_maximal_certify(I, order)
     assert cert.irrelevant  # the index is read off the columns
     _check_minimal_polynomials_and_socle(cert, random.Random(seed))
+
+
+# ---------------------------------------------------------------------------
+# R/J from the subspace J/I of R/I against R/J from a Groebner basis of J
+
+
+def _same_quotient(built, J, order=None):
+    reference = QuotientBasis(J, order)
+    assert built.monomials == reference.monomials
+    assert built.columns == reference.columns
+    assert built.degrees == reference.degrees
+    assert not built.graded or J.is_graded()
+
+
+def _decomposition_cases():
+    return sorted({(fixture, name) for fixture, name, _ in _fixture_cases()})
+
+
+@pytest.mark.parametrize("fixture,name", _decomposition_cases())
+def test_components_built_in_the_quotient_match_their_groebner_quotients(fixture, name):
+    _, ideals, _ = parse_file(os.path.join(FIX, fixture))
+    try:
+        dec = decompose(ideals[name])
+    except ScopeError:
+        pytest.skip("outside the decomposition's certified scope")
+    assert len(dec.component_certificates) == dec.r
+    for comp, cert in zip(dec.components, dec.component_certificates):
+        assert cert.quotient.ideal is comp
+        _same_quotient(cert.quotient, comp)
+
+
+def _ideal_span(Q, polys):
+    """Vectors spanning the ideal of R/I generated by the polynomials: their
+    coordinates closed under every variable (not in echelon form)."""
+    field = Q.ring.field
+    vectors = []
+    span = Span(field, Q.dimension)
+    todo = []
+    for f in polys:
+        nf = Q.ideal.normal_form(f, Q.order)
+        todo.append([nf.terms.get(m, field.zero()) for m in Q.monomials])
+    while todo:
+        v = todo.pop()
+        if span.add(v):
+            vectors.append(v)
+            todo.extend(Q.apply_var(i, v) for i in range(Q.ring.npres))
+    return vectors
+
+
+@settings(max_examples=80, deadline=None)
+@given(m_primary_ideals(), st.data())
+def test_over_ideals_built_in_the_quotient_match_their_groebner_quotients(ideal_and_order, data):
+    I, order = ideal_and_order
+    ring = I.ring
+    Q = QuotientBasis(I, order)
+    graded = data.draw(st.booleans())
+    # combinations of non-constant standard monomials of I, so that the
+    # echelon rows of J/I mostly have several entries and the choice of
+    # pivot decides which monomials stay standard
+    extra = []
+    monos = [m for m in Q.monomials if any(m)]
+    for _ in range(data.draw(st.integers(1, 2)) if monos else 0):
+        pool = monos
+        if graded:
+            d = data.draw(st.sampled_from(sorted({ring.weighted_degree(m) for m in monos})))
+            pool = [m for m in monos if ring.weighted_degree(m) == d]
+        size = min(2, len(pool))
+        chosen = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=4, unique=True))
+        f = ring.zero()
+        for m in chosen:
+            f = f + ring.monomial(m, ring.field.from_int(data.draw(st.sampled_from([1, 2, -1]))))
+        extra.append(f)
+    J = Ideal(ring, list(I.gens) + extra)
+    built = quotient_of_subspace(Q, _ideal_span(Q, extra))
+    _same_quotient(built, J, order)
+    if graded and Q.graded and all(is_homogeneous(f) for f in extra):
+        assert built.graded
+
+
+def test_a_subspace_that_is_no_ideal_or_the_whole_quotient_is_refused():
+    ring = RingSpec.make(GF(3), ("x", "y"))
+    cert = radical_maximal_certify(Ideal(ring, [ring.var("x") ** 2, ring.var("y") ** 2]))
+    Q = cert.quotient
+    y = Q.nf_monomial((0, 1))
+    with pytest.raises(GradixError, match="not an ideal"):
+        quotient_of_subspace(Q, [y])  # x*y is missing
+    assert over_ideal_certificate(cert, _ideal_span(Q, [ring.var("y")])).quotient.dimension == 2
+    with pytest.raises(RadicalNotMaximal):
+        over_ideal_certificate(cert, _ideal_span(Q, [ring.one()]))

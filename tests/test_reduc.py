@@ -4,10 +4,12 @@ import time
 
 import pytest
 
+from gradix.artin import residue_socle_dimension
 from gradix.corpus import corpus
 from gradix.errors import ContainmentFailure, NotGraded
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal, ideal_equal
+from gradix.invsys import decompose
 from gradix.gxparser import parse_document, parse_poly
 from gradix.poly import RingSpec
 from gradix.reduc import (
@@ -219,3 +221,20 @@ def test_verify_equivalence_small_corpus():
     rep = verify_equivalence(ideals)
     assert rep.total == 10
     assert rep.ok, rep.failures
+
+
+def test_component_verdicts_in_the_quotient_match_groebner_verdicts():
+    """verify_equivalence certifies each component J in R/J built from
+    J/I and I's certificate; is_irreducible(J) builds a Groebner basis of
+    J and certifies it from scratch, so it stays the theorem's independent
+    check."""
+    ideals = corpus(seed=1, count=30, nvars_options=(3, 4))
+    seen = 0
+    for I in ideals:
+        dec = decompose(I, graded=True)
+        for comp, cert in zip(dec.components, dec.component_certificates):
+            verdict = is_irreducible(comp)
+            assert verdict.certified, verdict.reason
+            assert verdict.irreducible == (residue_socle_dimension(cert) == 1)
+            seen += 1
+    assert seen > len(ideals)
