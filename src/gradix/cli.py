@@ -153,7 +153,7 @@ def _hilbert(c):
 
 
 def _decompose(c):
-    rep = reduc.decompose_report(c.ideal, graded=c.args.graded)
+    rep = invsys.decompose(c.ideal, graded=c.args.graded)
     components = [_ideal_json(comp) for comp in rep.components]
     flags = ("irredundant", "all_graded", "all_irreducible_certified")
     res = {"r": rep.r, "r_graded": rep.r_graded, "components": components}
@@ -175,6 +175,8 @@ def _verify(c):
 
 
 def _star(c):
+    if c.args.bound is not None and c.args.bound < 0:
+        raise GradixError(f"--bound needs a non-negative degree (got {c.args.bound})")
     if c.args.method == "truncated":
         res = star_truncated(c.ideal, bound=c.args.bound)
     elif c.args.method == "lambda":

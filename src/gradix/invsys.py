@@ -7,13 +7,20 @@ monomial s, with coefficient of X^m in F_s equal to the s-coordinate of
 the normal form of m.  In those coordinates the contraction action of a
 variable is the transpose of its multiplication matrix, so generator
 extraction, annihilators, intersection and irredundancy checks are all
-plain linear algebra in dimension len(R/I); only the final polynomial
-presentations of dual generators need monomial enumeration.
+plain linear algebra in dimension len(R/I).  Only the dual generators as
+polynomials (`InverseSystem.generators`) need monomial enumeration; they
+are built when first read, and `decompose` never reads them.
+
+`decompose` takes each socle once: socle(R/I) certifies the generator
+count, so its dimension is r (and r_graded when I is graded), and
+socle(R/J) of each component J, in R/J built from J/I
+(`gradix.overideal`), is the verdict `reduc.verify_equivalence` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .artin import (
     QuotientBasis,
@@ -122,15 +129,19 @@ def contract(g: Polynomial, F: DualPoly) -> DualPoly:
 @dataclass
 class InverseSystem:
     ideal: Ideal
-    degree_bound: int  # m^degree_bound is certified inside the ideal
-    generators: list  # DualPoly minimal generators under contraction
-    generator_coords: list  # coordinates in the F_s basis
+    generator_coords: list  # minimal generators under contraction, in the F_s basis
     certificate: RadicalCertificate  # owns R/I
-    socle_dimension: int  # of R/I, which the generator count was checked against
+
+    @cached_property
+    def generators(self) -> list:
+        """The generators as DualPolys, cut off at the certified power bound."""
+        Q = self.certificate.quotient
+        bound = certified_power_bound(Q)
+        return [_dual_poly_from_coords(Q, c, bound) for c in self.generator_coords]
 
     @property
     def generator_count(self) -> int:
-        return len(self.generators)
+        return len(self.generator_coords)
 
 
 def _require_irrelevant_primary(I: Ideal) -> RadicalCertificate:
@@ -215,7 +226,6 @@ def inverse_system(I: Ideal) -> InverseSystem:
     """Minimal contraction generators of the dual module of R/I."""
     cert = _require_irrelevant_primary(I)
     Q = cert.quotient
-    bound = certified_power_bound(Q)
     coords = _minimal_generator_coords(Q)
     _verify_generation(Q, coords)
     sd = socle(Q).dimension
@@ -223,8 +233,7 @@ def inverse_system(I: Ideal) -> InverseSystem:
         raise GradixError(
             f"internal: {len(coords)} dual generators vs socle dimension {sd}"
         )
-    gens = [_dual_poly_from_coords(Q, c, bound) for c in coords]
-    return InverseSystem(I, bound, gens, coords, cert, sd)
+    return InverseSystem(I, coords, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,6 @@ def _component_kernels(inv: InverseSystem) -> list[list[list]]:
     so lifts are homogeneous)."""
     Q = inv.certificate.quotient
     field = Q.ring.field
-    graded = inv.ideal.is_graded()
     out = []
     for coords in inv.generator_coords:
         # column j is b_j o F; the standard monomials ascend, so the walk
@@ -276,7 +284,7 @@ def _component_kernels(inv: InverseSystem) -> list[list[list]]:
         for m in Q.monomials:
             vec = Q.walk(contract_of, m, Q.apply_var_transpose)
             columns.append({r: c for r, c in enumerate(vec) if not field.is_zero(c)})
-        out.append(artin._kernel_by_degree(Q, columns, graded))
+        out.append(artin._kernel_by_degree(Q, columns, Q.graded))
     return out
 
 
@@ -288,17 +296,19 @@ class DecompReport:
     r_graded: int | None = None
     irredundant: bool = False
     all_graded: bool = False
-    all_irreducible_certified: bool = False
-    dual_generators: list = dc_field(default_factory=list)
-    certificate: RadicalCertificate | None = None  # of the ideal, with R/I
-    socle_dimension: int | None = None  # of R/I, from the inverse system
     component_certificates: list = dc_field(default_factory=list)  # each with R/J
+    component_socle_dimensions: list = dc_field(default_factory=list)  # of each R/J
+
+    @property
+    def all_irreducible_certified(self) -> bool:
+        return all(d == 1 for d in self.component_socle_dimensions)
 
 
 def decompose(I: Ideal, graded: bool = False) -> DecompReport:
     """Irredundant decomposition of I into irreducible (variables)-primary
     ideals, one per minimal dual generator; with graded=True the input
-    must be graded and every component is generated by forms."""
+    must be graded and every component is generated by forms.  r_graded
+    is set when I is graded."""
     if graded and not I.is_graded():
         raise NotGraded("graded decomposition of a non-graded ideal")
     inv = inverse_system(I)
@@ -325,19 +335,20 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
             irredundant = False
             break
 
-    certified = all(socle(c.quotient).dimension == 1 for c in certs)
     all_graded = graded and all(c.quotient.graded for c in certs)
+    # one component per generator, whose count inverse_system checked
+    # against socle(R/I); for a graded I primary to (all variables) that is
+    # the graded index too (tests/test_quotient_engine.py compares the two)
+    r = len(components)
     return DecompReport(
         ideal=I,
         components=components,
-        r=len(components),
+        r=r,
+        r_graded=r if Q.graded else None,
         irredundant=irredundant,
         all_graded=all_graded,
-        all_irreducible_certified=certified,
-        dual_generators=inv.generators,
-        certificate=inv.certificate,
-        socle_dimension=inv.socle_dimension,
         component_certificates=certs,
+        component_socle_dimensions=[socle(c.quotient).dimension for c in certs],
     )
 
 

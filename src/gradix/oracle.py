@@ -36,6 +36,7 @@ from .errors import (
     GradixError,
     NotGraded,
     NotPositivelyGraded,
+    ScopeError,
 )
 from .groebner import Ideal
 from .gxparser import render
@@ -60,10 +61,12 @@ class FiniteAlgebra:
     @staticmethod
     def from_ideal(I: Ideal) -> "FiniteAlgebra":
         """R/I for a graded ideal of a positively weighted ring over GF(p)
-        with a finite quotient; anything else is refused, since the
-        search needs finitely many points and the graded members need a
-        grading of R/I."""
+        with a finite nonzero quotient; anything else is refused, since
+        the search needs finitely many points and the graded members need
+        a grading of R/I, and the zero algebra has no decomposition of 0."""
         Q = QuotientBasis(I)
+        if not Q.dimension:
+            raise ScopeError("the lattice oracle needs a proper ideal (R/I is zero)")
         if I.ring.field.characteristic == 0:
             raise CharacteristicForbidden(0)
         if not I.is_graded():

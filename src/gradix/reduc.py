@@ -1,6 +1,6 @@
-"""Indices of reducibility, irreducibility predicates, decomposition
-reports, and the comparison between an ideal and its largest graded
-subideal.
+"""Indices of reducibility, irreducibility predicates, the comparison
+between an ideal and its largest graded subideal, and the equivalence
+harness over a corpus.
 
 Certified scope for the plain index is a zero-dimensional ideal whose
 radical is maximal (Artinian local quotient); the graded index extends to
@@ -9,12 +9,12 @@ conclusion of the principal-quotient comparison are tracked explicitly,
 and a met hypothesis with a failed conclusion raises a theorem
 contradiction rather than returning quietly.
 
-`verify_equivalence` certifies every graded-irreducible component J of I
-inside R/I: J's certificate is derived from I's and its R/J is built from
-the subspace J/I, so no component gets a Groebner basis of its own.  The
-component verdict therefore shares R/I with the decomposition; the
-independent check, `is_irreducible(J)` from a Groebner basis of J, runs
-in the tests.
+`verify_equivalence` reads its verdicts off one `invsys.decompose` pass:
+r is the socle dimension of R/I, and each graded-irreducible component J
+is certified by the socle of R/J that the decomposition took, with R/J
+built from the subspace J/I of R/I, so no component gets a Groebner basis
+or a second socle of its own.  The independent check, `is_irreducible(J)`
+from a Groebner basis of J, runs in the tests.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .groebner import Ideal, ideal_equal, quotient
 from .gxparser import render
-from .invsys import DecompReport
 from .linalg import Span
 from .star import StarResult, star
 
@@ -86,22 +85,6 @@ def is_graded_irreducible(I: Ideal) -> IrreducibilityVerdict:
     except ScopeError as e:
         return IrreducibilityVerdict(False, None, f"uncertified: {e}")
     return IrreducibilityVerdict(True, rg == 1)
-
-
-def decompose_report(I: Ideal, graded: bool = False) -> DecompReport:
-    """Decomposition via the inverse system, with the graded index checked
-    against the plain index for graded inputs."""
-    rep = invsys.decompose(I, graded=graded)
-    r = rep.socle_dimension  # the inverse system's socle of R/I
-    if rep.r != r:
-        raise GradixError("internal: component count differs from the socle dimension")
-    if I.is_graded():
-        # decompose certified I primary to (all variables) in a positively
-        # weighted ring, so the graded socle rank is the dimension of
-        # socle(R/I), the very computation r was read from; the socle
-        # algorithms are compared in tests/test_quotient_engine.py
-        rep.r_graded = r
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -260,32 +243,27 @@ class EquivalenceReport:
 def verify_equivalence(corpus) -> EquivalenceReport:
     """For each graded ideal: the plain and graded indices must agree, the
     graded decomposition must exist, and every component must pass the
-    ungraded irreducibility certificate, read in R/J from the certificate
-    of I.  Failures are recorded as reproducible fixtures, not raised."""
+    ungraded irreducibility certificate, the socle of R/J the decomposition
+    took.  Failures are recorded as reproducible fixtures, not raised."""
     rep = EquivalenceReport()
     for I in corpus:
         rep.total += 1
         problems = []
         try:
-            # r is the socle dimension of R/I that the inverse system
-            # checked its generator count against, so I is certified, R/I
-            # built and its socle taken once; the graded index is r itself
-            # (see decompose_report), an agreement still counted as a check
+            # the plain index, the graded index and the decomposition length
+            # are all the dimension of the socle of R/I the inverse system
+            # took (see invsys.decompose); the two agreements still count
             dec = invsys.decompose(I, graded=True)
-            r = dec.socle_dimension
             rep.checks += 2
-            if dec.r != r:
-                problems.append(f"decomposition length {dec.r} differs from r={r}")
             if not dec.irredundant:
                 problems.append("decomposition is redundant")
             if not dec.all_graded:
                 problems.append("a component is not graded")
             if not dec.all_irreducible_certified:
                 problems.append("a component fails the ungraded irreducibility certificate")
-            # certified in R/J, read off J/I (see the module docstring)
-            for comp, cert in zip(dec.components, dec.component_certificates):
+            for comp, sd in zip(dec.components, dec.component_socle_dimensions):
                 rep.checks += 1
-                if artin.residue_socle_dimension(cert) != 1:
+                if sd != 1:
                     problems.append(f"component {render(comp)} not certified irreducible")
         except GradixError as e:
             problems.append(f"exception: {e}")

@@ -89,7 +89,7 @@ def test_criterion_2_component_family():
                 parse_poly("y^3", r),
             ],
         )
-        rep = reduc.decompose_report(I_f, graded=True)
+        rep = invsys.decompose(I_f, graded=True)
         target = Ideal(r, [parse_poly("x+y", r), parse_poly("y^3", r)])
         checks.append(
             (

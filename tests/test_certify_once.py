@@ -9,8 +9,9 @@ from gradix import artin, groebner, invsys
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal
 from gradix.gxparser import parse_poly
+from gradix.invsys import decompose, inverse_system
 from gradix.poly import RingSpec
-from gradix.reduc import compare_star, decompose_report, index_of_reducibility, verify_equivalence
+from gradix.reduc import compare_star, index_of_reducibility, verify_equivalence
 
 
 @pytest.fixture
@@ -64,9 +65,9 @@ def test_verify_equivalence_certifies_once(count):
     assert count(call, fixture()) == (1, 1)
 
 
-def test_decompose_report_certifies_once(count):
+def test_decompose_certifies_once(count):
     def call(I):
-        rep = decompose_report(I, graded=True)
+        rep = decompose(I, graded=True)
         assert rep.r == rep.r_graded == 2
 
     assert count(call, fixture()) == (1, 1)
@@ -105,24 +106,46 @@ def test_index_of_irrelevant_primary_ideal_builds_no_action_matrix(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("call", [verify_equivalence, decompose_report])
-def test_socle_of_the_quotient_is_not_recomputed_for_the_graded_rank(monkeypatch, call):
+@pytest.mark.parametrize("call", [verify_equivalence, decompose])
+def test_each_socle_is_taken_once(monkeypatch, call):
     """For a graded ideal primary to (x, y, z), r and the graded socle rank
-    are both the dimension of socle(R/I), and the inverse system already
-    took that socle to check its generator count, so one kernel gives all
-    three."""
+    are both the dimension of socle(R/I), which the inverse system takes to
+    check its generator count; then socle(R/J) is taken once per component
+    J, and the verdict on J reads it: 1 + r socles in all."""
     I = fixture()
-    calls = []
+    taken = []
     socle = artin.socle
 
     def counting(Q):
-        calls.append(Q.ideal is I)
+        taken.append(Q.ideal is I)
         return socle(Q)
 
     monkeypatch.setattr(artin, "socle", counting)
     monkeypatch.setattr(invsys, "socle", counting)
     call([I]) if call is verify_equivalence else call(I, graded=True)
-    assert calls.count(True) == 1
+    assert taken.count(True) == 1
+    assert len(taken) == 1 + 2
+
+
+def test_decompose_builds_no_dual_polynomial(monkeypatch):
+    """The decomposition works from generator coordinates; the DualPolys
+    (and the power bound that cuts them off) are built when first read,
+    once."""
+    calls = []
+    for name in ("certified_power_bound", "_dual_poly_from_coords"):
+        real = getattr(invsys, name)
+
+        def counting(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(invsys, name, counting)
+    assert decompose(fixture(), graded=True).r == 2
+    inv = inverse_system(fixture())
+    assert calls == []
+    assert len(inv.generators) == inv.generator_count == 2
+    assert inv.generators is inv.generators
+    assert calls == ["certified_power_bound"] + ["_dual_poly_from_coords"] * 2
 
 
 def test_verify_equivalence_builds_no_groebner_basis_for_a_component(monkeypatch):

@@ -96,6 +96,16 @@ def test_star_commands(capsys):
     assert ideal_equal(got, ideals["Istar"])
 
 
+def test_star_rejects_a_negative_bound(capsys, tmp_path):
+    path = tmp_path / "input.gx"
+    path.write_text("ring QQ[x,y];\nideal J = x-1, y^2;\n")
+    argv = ["star", "-i", str(path), "--ideal", "J", "--method", "truncated", "--bound", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--bound" in captured.err
+
+
 def test_compare_star_star_gap_b(capsys):
     code = main(["compare-star", "-i", fx("star_gap_b.gx"), "--ideal", "I", "--json"])
     assert code == 0
@@ -141,6 +151,8 @@ def test_oracle_command(capsys):
         ("ring GF(2)[x] weights(1);\nideal I = x^2+x;\n", "graded ideal"),
         # the unit t has weight 0: socle 0
         ("ring GF(3)[x,t,t^-1] weights(1,0);\nideal I = x^2, t-1;\n", "positive weights"),
+        # the zero algebra: its one member is no decomposition of 0
+        ("ring GF(3)[x,y];\nideal I = 1;\n", "proper ideal"),
     ],
 )
 def test_oracle_refuses_what_it_cannot_decide(capsys, tmp_path, document, refusal):

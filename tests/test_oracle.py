@@ -10,6 +10,7 @@ from gradix.artin import QuotientBasis
 from gradix.errors import CapExceeded
 from gradix.fields import GF
 from gradix.groebner import Ideal
+from gradix.invsys import decompose
 from gradix import oracle
 from gradix.gxparser import parse_file, parse_poly
 from gradix.oracle import (
@@ -23,6 +24,7 @@ from gradix.oracle import (
     socle_dimension,
 )
 from gradix.poly import RingSpec
+from gradix.reduc import index_of_reducibility
 from oracles import (
     gaussian_binomial,
     monomials_of_degree,
@@ -225,10 +227,11 @@ def test_unit_points_are_not_closed(monkeypatch):
 
 
 @st.composite
-def graded_algebras(draw):
-    """R/I for I = (all monomials of degree D) plus up to three random
-    forms of degree D - 1, over GF(2) of dimension <= 6 or GF(3) of
-    dimension <= 5 (the walk over GF(3)^6 takes over a second)."""
+def graded_ideals(draw):
+    """I = (all monomials of degree D) plus up to three random forms of
+    degree D - 1, over GF(2) or GF(3), with R/I over GF(2) of dimension
+    <= 6 or over GF(3) of dimension <= 5 (the walk over GF(3)^6 takes over
+    a second)."""
     p = draw(st.sampled_from([3, 2]))
     n = draw(st.sampled_from([2, 3, 1]))
     ring = RingSpec.make(GF(p), ("x", "y", "z")[:n])
@@ -238,15 +241,33 @@ def graded_algebras(draw):
     for _ in range(draw(st.integers(0, 3))):
         coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
         gens.append(sum((ring.monomial(m, c) for m, c in zip(monos, coeffs)), ring.zero()))
-    A = FiniteAlgebra.from_ideal(Ideal(ring, gens))
-    assume(A.dimension <= (6 if p == 2 else 5))
-    return A
+    I = Ideal(ring, gens)
+    assume(QuotientBasis(I).dimension <= (6 if p == 2 else 5))
+    return I
+
+
+def graded_algebras():
+    return graded_ideals().map(FiniteAlgebra.from_ideal)
 
 
 @settings(max_examples=40, deadline=None)
 @given(graded_algebras())
 def test_enumeration_matches_the_subspace_walk_on_random_graded_algebras(A):
     _same_lattice(A)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_ideals())
+def test_index_agrees_with_the_lattice_oracle_on_random_graded_ideals(I):
+    """The paper's equality three independent ways: the socle dimension of
+    R/I, the length of the inverse-system decomposition, and the literal
+    minimum over the lattice of ideals of R/I, with plain and with graded
+    irreducible members."""
+    lattice = enumerate_ideals(FiniteAlgebra.from_ideal(I))
+    r = index_of_reducibility(I)
+    assert decompose(I, graded=True).r == r
+    assert oracle_index(lattice, graded=False) == r
+    assert oracle_index(lattice, graded=True) == r
 
 
 @pytest.mark.parametrize(

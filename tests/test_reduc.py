@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from gradix.artin import residue_socle_dimension
 from gradix.corpus import corpus
 from gradix.errors import ContainmentFailure, NotGraded
 from gradix.fields import GF, QQ
@@ -14,7 +13,6 @@ from gradix.gxparser import parse_document, parse_poly
 from gradix.poly import RingSpec
 from gradix.reduc import (
     compare_star,
-    decompose_report,
     graded_index,
     index_of_reducibility,
     index_of_star,
@@ -107,22 +105,22 @@ def test_is_graded_irreducible():
         is_graded_irreducible(Ideal(R2, [P("x^2-x-y")]))
 
 
-def test_decompose_report_min_nonmonomial():
-    rep = decompose_report(mnm_ideal(), graded=True)
+def test_decompose_min_nonmonomial():
+    rep = decompose(mnm_ideal(), graded=True)
     assert rep.r == 2 and rep.r_graded == 2
     target = Ideal(R2, [P("x+y"), P("y^3")])
     assert any(ideal_equal(c, target) for c in rep.components)
     assert rep.irredundant and rep.all_graded and rep.all_irreducible_certified
 
 
-def test_decompose_report_cube_of_maximal():
+def test_decompose_cube_of_maximal():
     m3 = Ideal(R2, [P("x^3"), P("x^2*y"), P("x*y^2"), P("y^3")])
-    rep = decompose_report(m3, graded=True)
+    rep = decompose(m3, graded=True)
     assert rep.r == 3  # socle of k[x,y]/m^3 is spanned by the three quadrics
 
 
-def test_decompose_report_irreducible_case():
-    rep = decompose_report(Ideal(R2, [P("x^2"), P("y")]), graded=True)
+def test_decompose_irreducible_case():
+    rep = decompose(Ideal(R2, [P("x^2"), P("y")]), graded=True)
     assert rep.r == 1 and rep.r_graded == 1
 
 
@@ -224,17 +222,17 @@ def test_verify_equivalence_small_corpus():
 
 
 def test_component_verdicts_in_the_quotient_match_groebner_verdicts():
-    """verify_equivalence certifies each component J in R/J built from
-    J/I and I's certificate; is_irreducible(J) builds a Groebner basis of
-    J and certifies it from scratch, so it stays the theorem's independent
-    check."""
+    """verify_equivalence reads each component's verdict off the socle of
+    R/J that decompose took, with R/J built from J/I and I's certificate;
+    is_irreducible(J) builds a Groebner basis of J and certifies it from
+    scratch, so it stays the theorem's independent check."""
     ideals = corpus(seed=1, count=30, nvars_options=(3, 4))
     seen = 0
     for I in ideals:
         dec = decompose(I, graded=True)
-        for comp, cert in zip(dec.components, dec.component_certificates):
+        for comp, sd in zip(dec.components, dec.component_socle_dimensions):
             verdict = is_irreducible(comp)
             assert verdict.certified, verdict.reason
-            assert verdict.irreducible == (residue_socle_dimension(cert) == 1)
+            assert verdict.irreducible == (sd == 1)
             seen += 1
     assert seen > len(ideals)

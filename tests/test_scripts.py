@@ -34,3 +34,22 @@ def test_equivalence_experiment_exits_1_on_a_failure_fixture(monkeypatch, capsys
     monkeypatch.setattr(sys, "argv", ["equivalence_experiment.py", "--count", "3"])
     assert script.main() == 1
     assert "FAILURE FIXTURE" in capsys.readouterr().out
+
+
+def test_oracle_exhaustion_exits_0_when_every_algebra_passes(capsys):
+    assert load("oracle_exhaustion").main() == 0
+    assert "FAILURES" not in capsys.readouterr().out
+
+
+def test_oracle_exhaustion_exits_1_on_a_failing_algebra(monkeypatch, capsys):
+    script = load("oracle_exhaustion")
+    real = script.oracle_theorems
+
+    def failing(A):
+        rep = real(A)
+        rep.failures.append("planted")
+        return rep
+
+    monkeypatch.setattr(script, "oracle_theorems", failing)
+    assert script.main() == 1
+    assert f"{len(script.FIXTURES)} FAILURES" in capsys.readouterr().out
