@@ -159,6 +159,39 @@ def test_fixture_dump_format():
     assert "I" in ideals
 
 
+@pytest.mark.parametrize(
+    "field,gens,text",
+    [
+        (
+            GF(3),
+            ["x^2+x*y", "x^2-y^2", "y^3"],
+            "ring GF(3)[x,y] weights(1,1);\n"
+            "ideal I = x^2+x*y, x^2+2*y^2, y^3;\n"
+            "# multiplication-table\n"
+            "# basis b0=1 b1=y b2=x b3=y^2\n"
+            "# degrees 0 1 1 2\n"
+            "# x*b0 = 1*b2\n# x*b1 = 2*b3\n# x*b2 = 1*b3\n# x*b3 = 0\n"
+            "# y*b0 = 1*b1\n# y*b1 = 1*b3\n# y*b2 = 2*b3\n# y*b3 = 0\n",
+        ),
+        (
+            GF(2),
+            ["x^2", "y^2"],
+            "ring GF(2)[x,y] weights(1,1);\n"
+            "ideal I = x^2, y^2;\n"
+            "# multiplication-table\n"
+            "# basis b0=1 b1=y b2=x b3=x*y\n"
+            "# degrees 0 1 1 2\n"
+            "# x*b0 = 1*b2\n# x*b1 = 1*b3\n# x*b2 = 0\n# x*b3 = 0\n"
+            "# y*b0 = 1*b1\n# y*b1 = 0\n# y*b2 = 1*b3\n# y*b3 = 0\n",
+        ),
+    ],
+)
+def test_fixture_dump_text_is_pinned(field, gens, text):
+    A = algebra(field, ("x", "y"), gens)
+    assert dump_fixture(A) == text
+    assert oracle_theorems(A).algebra == text.splitlines()[1][len("ideal I = ") : -1]
+
+
 # ---------------------------------------------------------------------------
 # the cyclic-ideal search against the walk over every subspace
 
