@@ -48,7 +48,7 @@ def main():
         rep = oracle_theorems(A)
         label = f"GF({p})/{','.join(gens)}"
         print(
-            f"{label:<40} {A.dimension:>4} {rep.lattice_size:>8} "
+            f"{label:<40} {A.quotient.dimension:>4} {rep.lattice_size:>8} "
             f"{rep.graded_size:>7} {rep.index_plain:>3} {'yes' if rep.ok else 'NO':>4}"
         )
         if not rep.ok:

@@ -5,8 +5,9 @@ Builds seeded random zero-dimensional non-graded ideals (a graded base
 plus one non-homogeneous element), computes both indices, the local
 generator count of I/I*, and the hypothesis/conclusion flags of the
 principal-quotient criterion, and prints one row per instance.  Useful
-for hunting candidate necessary conditions for r(I) = r(I*); any row
-with hypothesis met and conclusion failed would abort the run.
+for hunting candidate necessary conditions for r(I) = r(I*).  A met
+hypothesis with a failed conclusion contradicts the criterion: the run
+prints the ideal and exits 1.
 
     python scripts/star_comparison_experiment.py --count 25 --seed 3
 """
@@ -19,10 +20,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gradix.corpus import random_graded_m_primary  # noqa: E402
-from gradix.errors import GradixError, ScopeError  # noqa: E402
-from gradix.fields import GF, QQ  # noqa: E402
+from gradix.errors import GradixError, ParseError, TheoremContradiction  # noqa: E402
 from gradix.groebner import Ideal  # noqa: E402
-from gradix.gxparser import render  # noqa: E402
+from gradix.gxparser import parse_field, render  # noqa: E402
 from gradix.poly import RingSpec  # noqa: E402
 from gradix.reduc import compare_star  # noqa: E402
 
@@ -43,7 +43,10 @@ def main():
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--field", default="GF(5)")
     args = ap.parse_args()
-    field = QQ if args.field == "QQ" else GF(int(args.field[3:-1]))
+    try:
+        field = parse_field(args.field)
+    except ParseError as e:
+        ap.error(f"--field: {e}")
     rng = random.Random(args.seed)
     ring = RingSpec.make(field, ("x", "y"))
 
@@ -55,8 +58,11 @@ def main():
             continue
         try:
             cmp = compare_star(I)
-        except (ScopeError, GradixError):
-            continue
+        except TheoremContradiction as e:
+            print(f"CONTRADICTION {e}\n  ideal: {render(I)}")
+            return 1
+        except GradixError:
+            continue  # refused or undecided: no row
         shown += 1
         print(
             f"{shown:>3} {cmp.r:>3} {cmp.r_star:>3} {cmp.quotient_generator_count:>3} "
@@ -64,7 +70,8 @@ def main():
             f"{'yes' if cmp.conclusion_holds else 'no':>6}  {render(I)}"
         )
     print("no aborts: every met hypothesis had a holding conclusion")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

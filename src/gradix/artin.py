@@ -181,14 +181,6 @@ class QuotientBasis:
                     rows[r][j] = c
         return rows
 
-    def var_matrix(self, i: int) -> list[list]:
-        field = self.ring.field
-        rows = [[field.zero()] * self.dimension for _ in range(self.dimension)]
-        for j, col in enumerate(self.columns[i]):
-            for r, c in col.items():
-                rows[r][j] = c
-        return rows
-
     def multiply(self, u: list, v: list) -> list:
         field = self.ring.field
         terms = [(m, c) for m, c in zip(self.monomials, u) if not field.is_zero(c)]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import artin, invsys, oracle, reduc
 from .corpus import corpus
 from .errors import GradixError, ParseError, ScopeError, TheoremContradiction
-from .groebner import Ideal, eliminate, intersect, quotient, saturate
+from .groebner import Ideal, eliminate, intersect_many, quotient, saturate
 from .gxparser import parse_field, parse_file, parse_poly, render
 from .poly import GrevLex, Lex, RingSpec
 from .star import star, star_lambda, star_truncated
@@ -43,9 +43,8 @@ _INPUT = _arg("-i", "--input", required=True, help=".gx input document")
 _IDEAL = _arg("--ideal", required=True, help="name of the ideal to use")
 _JSON = _arg("--json", action="store_true", help="machine-readable output")
 _ORDER = _arg("--order", choices=["grevlex", "lex"], default=None)
-_SEED = _arg("--seed", type=int, default=None)
 _TIMINGS = _arg("--timings", action="store_true", help="include wall-clock timings")
-_ON_IDEAL = (_INPUT, _IDEAL, _JSON, _ORDER, _SEED, _TIMINGS)
+_ON_IDEAL = (_INPUT, _IDEAL, _JSON, _ORDER, _TIMINGS)
 _POLY = _arg("--poly", required=True)
 
 
@@ -124,10 +123,7 @@ def _intersect(c):
     names = [n.strip() for n in c.args.ideals.split(",")]
     if len(names) < 2:
         raise ParseError("--ideals needs at least two names")
-    acc = _get_ideal(c.ideals, names[0])
-    for n in names[1:]:
-        acc = intersect(acc, _get_ideal(c.ideals, n))
-    return _ideal_result("intersection", acc)
+    return _ideal_result("intersection", intersect_many(_get_ideal(c.ideals, n) for n in names))
 
 
 def _eliminate(c):
@@ -360,7 +356,7 @@ _COMMANDS = {
     "nf": ("normal form of a polynomial", _ON_IDEAL + (_POLY,), _nf),
     "member": ("ideal membership of a polynomial", _ON_IDEAL + (_POLY,), _member),
     "intersect": ("intersection of two ideals", (
-        _INPUT, _JSON, _ORDER, _SEED, _TIMINGS,
+        _INPUT, _JSON, _ORDER, _TIMINGS,
         _arg("--ideals", required=True, help="comma-separated ideal names"),
     ), _intersect),
     "quotient": ("quotient of an ideal by a polynomial", _ON_IDEAL + (_POLY,),
@@ -386,7 +382,7 @@ _COMMANDS = {
         _arg("--count", type=int, default=200),
         _arg("--field", default="GF(3)"),
         _arg("--nvars", default="2,3"),
-        _SEED,
+        _arg("--seed", type=int, default=None),
         _arg("--jobs", type=int, default=1),
         _JSON, _TIMINGS,
     ), _cmd_verify_thm),

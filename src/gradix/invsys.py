@@ -41,7 +41,7 @@ from .groebner import Ideal, ideal_equal, intersect, intersect_many
 from .linalg import Span, kernel_basis, span_of
 from .poly import Polynomial, mono_divides
 from . import artin
-from .overideal import over_ideal_certificate
+from .overideal import closure, over_ideal_certificate
 
 
 class NotMonomial(ScopeError):
@@ -203,31 +203,13 @@ def _dual_poly_from_coords(Q: QuotientBasis, coords, bound: int) -> DualPoly:
     return DualPoly(Q.ring, terms)
 
 
-def _verify_generation(Q: QuotientBasis, coord_list) -> None:
-    """The contraction closure of the generators must be the whole dual."""
-    field = Q.ring.field
-    closure = Span(field, Q.dimension)
-    frontier = list(coord_list)
-    for c in frontier:
-        closure.add(c)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(Q.ring.npres):
-                img = Q.apply_var_transpose(i, c)
-                if closure.add(img):
-                    nxt.append(img)
-        frontier = nxt
-    if closure.dim != Q.dimension:
-        raise GradixError("internal: dual generators fail to generate the inverse system")
-
-
 def inverse_system(I: Ideal) -> InverseSystem:
     """Minimal contraction generators of the dual module of R/I."""
     cert = _require_irrelevant_primary(I)
     Q = cert.quotient
     coords = _minimal_generator_coords(Q)
-    _verify_generation(Q, coords)
+    if closure(Q, coords, Q.apply_var_transpose).dim != Q.dimension:
+        raise GradixError("internal: dual generators fail to generate the inverse system")
     sd = socle(Q).dimension
     if len(coords) != sd:
         raise GradixError(

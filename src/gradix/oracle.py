@@ -1,18 +1,22 @@
-"""Brute-force ground truth on tiny finite quotient algebras: enumerate
-every ideal (multiplication-closed subspace), decide irreducibility
-literally from the definition, and exhaust decomposition searches.
+"""Brute-force ground truth on tiny finite quotient algebras: for a
+`FiniteAlgebra`, which holds R/I as its `QuotientBasis`, every ideal is
+enumerated as a subspace of R/I, irreducibility is decided literally from
+the definition, and the decomposition searches are exhausted.
 
-The scope is a graded ideal of a positively weighted ring over GF(p) with
-a finite quotient; other inputs are refused.  Enumeration searches the
-ideals themselves, not the subspaces, as submodule lattices are built from
-cyclic submodules in the MeatAxe (Lux, Mueller, Ringe, "Peakword
-condensation and submodule lattices", JSC 17, 1994):
+`FiniteAlgebra.from_ideal` admits a graded ideal of a positively
+weighted ring over GF(p) with a finite quotient; other inputs are
+refused.  Enumeration searches the ideals themselves, not the subspaces,
+as submodule lattices are built from cyclic submodules in the MeatAxe
+(Lux, Mueller, Ringe, "Peakword condensation and submodule lattices",
+JSC 17, 1994):
 
 1. every projective point v (first nonzero coordinate 1) is closed under
-   the variable matrices into the cyclic ideal A*v, deduplicated by RREF;
-   in a graded quotient a point with a nonzero constant term is a unit,
-   so once one of them has closed to the whole algebra the others are
-   skipped (`_is_local_at_first_coordinate` checks the grading first);
+   multiplication by the variables (`overideal.closure` with
+   `QuotientBasis.apply_var`) into the cyclic ideal generated by v,
+   deduplicated by RREF; in a graded quotient a point with a nonzero
+   constant term is a unit, so once one of them has closed to the whole
+   algebra the others are skipped (`_is_local_at_first_coordinate`
+   checks the grading first);
 2. a breadth-first search from the zero ideal adds one cyclic ideal to
    each ideal found; the sum of two ideals is an ideal, so it needs no
    closure step.  Every ideal is a sum of cyclic ones, so all are found.
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .artin import QuotientBasis
+from .artin import QuotientBasis, socle
 from .errors import (
     CapExceeded,
     CharacteristicForbidden,
@@ -39,8 +43,9 @@ from .errors import (
     ScopeError,
 )
 from .groebner import Ideal
-from .gxparser import render
+from .gxparser import _mono_str, render
 from .linalg import Span, kernel_basis, matvec
+from .overideal import closure
 
 # admits GF(2) algebras up to dimension 14 and GF(3) up to dimension 9;
 # enumerating (x^7, y^2) over GF(2) takes about 2 s on a 2-core machine
@@ -49,14 +54,9 @@ DEFAULT_CAP = 20_000
 
 @dataclass
 class FiniteAlgebra:
-    field: object
-    dimension: int
-    matrices: list  # dense rows, one matrix per algebra generator (variable)
-    degrees: list  # degree label per basis vector
-    provenance: str = ""
-    names: list = dc_field(default_factory=list)
-    basis_labels: list = dc_field(default_factory=list)
-    ring_header: str = ""
+    """R/I inside the oracle's scope; the oracle computes on `quotient`."""
+
+    quotient: QuotientBasis
 
     @staticmethod
     def from_ideal(I: Ideal) -> "FiniteAlgebra":
@@ -69,24 +69,11 @@ class FiniteAlgebra:
             raise ScopeError("the lattice oracle needs a proper ideal (R/I is zero)")
         if I.ring.field.characteristic == 0:
             raise CharacteristicForbidden(0)
-        if not I.is_graded():
+        if not Q.graded:
             raise NotGraded("the lattice oracle needs a graded ideal")
         if not I.ring.positively_graded:
             raise NotPositivelyGraded("the lattice oracle needs positive weights")
-        mats = [Q.var_matrix(i) for i in range(I.ring.npres)]
-        from .gxparser import _mono_str
-
-        labels = [_mono_str(I.ring, m) or "1" for m in Q.monomials]
-        return FiniteAlgebra(
-            field=I.ring.field,
-            dimension=Q.dimension,
-            matrices=mats,
-            degrees=list(Q.degrees),
-            provenance=render(I),
-            names=list(I.ring.pres_names),
-            basis_labels=labels,
-            ring_header=str(I.ring),
-        )
+        return FiniteAlgebra(Q)
 
 
 @dataclass(frozen=True)
@@ -141,8 +128,8 @@ class IdealLattice:
         return self._meets[pair]
 
     def _intersect(self, a: Subspace, b: Subspace) -> Subspace:
-        field = self.algebra.field
-        n = self.algebra.dimension
+        field = self.algebra.quotient.ring.field
+        n = self.algebra.quotient.dimension
         if not a.key or not b.key:
             return Subspace(())
         basis_a = a.key
@@ -168,38 +155,7 @@ def _projective_points(field, n: int):
             yield head + list(tail)
 
 
-def _sparse_columns(A: FiniteAlgebra) -> list:
-    """Per variable matrix, the nonzero (row, entry) pairs of each column;
-    the matrices of a quotient algebra are mostly zeros."""
-    f = A.field
-    n = A.dimension
-    return [
-        [[(r, M[r][j]) for r in range(n) if not f.is_zero(M[r][j])] for j in range(n)]
-        for M in A.matrices
-    ]
-
-
-def _cyclic_ideal(A: FiniteAlgebra, columns: list, v: list) -> Span:
-    """A*v: the span of v closed under the variable matrices, given by
-    their `_sparse_columns`."""
-    f = A.field
-    span = Span(f, A.dimension)
-    span.add(v)
-    todo = [v]
-    while todo and span.dim < A.dimension:
-        w = todo.pop()
-        for cols in columns:
-            image = [f.zero()] * A.dimension
-            for c, col in zip(w, cols):
-                if not f.is_zero(c):
-                    for r, a in col:
-                        image[r] = f.add(image[r], f.mul(a, c))
-            if span.add(image):
-                todo.append(image)
-    return span
-
-
-def _is_local_at_first_coordinate(A: FiniteAlgebra, columns: list) -> bool:
+def _is_local_at_first_coordinate(Q: QuotientBasis) -> bool:
     """Does every variable map each basis vector b_j into basis vectors,
     other than b0, of strictly higher degree label?  Then the variables act
     nilpotently and no product has a b0-coordinate, so a point w with
@@ -208,21 +164,18 @@ def _is_local_at_first_coordinate(A: FiniteAlgebra, columns: list) -> bool:
     s = c + (nilpotent) and v[0] = c * u[0], so s is a unit.  This holds
     for R/I of a graded ideal in positively weighted variables (b0 is the
     constant monomial), where the first point, b0 itself, generates."""
-    deg = A.degrees
+    deg = Q.degrees
     return all(
-        r and deg[r] > deg[j]
-        for cols in columns
-        for j, col in enumerate(cols)
-        for r, _ in col
+        r and deg[r] > deg[j] for cols in Q.columns for j, col in enumerate(cols) for r in col
     )
 
 
-def _is_graded(A: FiniteAlgebra, span: Span, masks) -> bool:
+def _is_graded(Q: QuotientBasis, span: Span, masks) -> bool:
     """Every degree component of every basis row lies in the span."""
-    zero = A.field.zero()
+    zero = Q.ring.field.zero()
     for row in span.rows.values():
         for mask in masks:
-            comp = [zero] * A.dimension
+            comp = [zero] * Q.dimension
             for i in mask:
                 comp[i] = row[i]
             if not span.contains(comp):
@@ -234,8 +187,9 @@ def enumerate_ideals(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> IdealLattice:
     """Every multiplication-closed subspace of the algebra, exactly once,
     as sums of cyclic ideals (see the module docstring).  Raises
     CapExceeded when the points to close plus the sums formed pass `cap`."""
-    field = A.field
-    n = A.dimension
+    Q = A.quotient
+    field = Q.ring.field
+    n = Q.dimension
     q = field.characteristic
     if q == 0:
         raise CharacteristicForbidden(0)
@@ -243,13 +197,12 @@ def enumerate_ideals(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> IdealLattice:
     if work > cap:
         raise CapExceeded("ideal enumeration", cap)
     cyclic = {}  # key -> (generating point, span)
-    columns = _sparse_columns(A)
-    local = _is_local_at_first_coordinate(A, columns)
+    local = _is_local_at_first_coordinate(Q)
     units_closed = False
     for v in _projective_points(field, n):
         if units_closed and not field.is_zero(v[0]):
             continue  # a unit: A*v is the whole algebra, already a member
-        span = _cyclic_ideal(A, columns, v)
+        span = closure(Q, [v], Q.apply_var)
         cyclic.setdefault(span.key(), (v, span))
         units_closed = units_closed or (local and span.dim == n)
     spans = {(): Span(field, n)}
@@ -274,10 +227,10 @@ def enumerate_ideals(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> IdealLattice:
         frontier = found
     order = sorted(spans, key=lambda k: (len(k), tuple(sorted(spans[k].rows)), k))
     masks = [
-        [i for i, d in enumerate(A.degrees) if d == deg] for deg in sorted(set(A.degrees))
+        [i for i, d in enumerate(Q.degrees) if d == deg] for deg in sorted(set(Q.degrees))
     ]
     members = [Subspace(k) for k in order]
-    graded = [s for s in members if _is_graded(A, spans[s.key], masks)]
+    graded = [s for s in members if _is_graded(Q, spans[s.key], masks)]
     return IdealLattice(A, members, graded, spans)
 
 
@@ -322,7 +275,7 @@ def oracle_index(lattice: IdealLattice, graded: bool) -> int:
             if nxt.dim < current.dim:
                 dfs(idx + 1, nxt, size + 1, budget)
 
-    for budget in range(2, lattice.algebra.dimension + 2):
+    for budget in range(2, lattice.algebra.quotient.dimension + 2):
         for idx in range(len(pool)):
             dfs(idx + 1, pool[idx], 1, budget)
             if best is not None:
@@ -330,11 +283,6 @@ def oracle_index(lattice: IdealLattice, graded: bool) -> int:
         if best is not None:
             return best
     raise GradixError("internal: no decomposition of 0 found in the lattice")
-
-
-def socle_dimension(A: FiniteAlgebra) -> int:
-    rows = [row for M in A.matrices for row in M]
-    return len(kernel_basis(A.field, rows, A.dimension))
 
 
 @dataclass
@@ -400,7 +348,7 @@ def oracle_theorems(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> TheoremReport:
     irreducible decomposition of 0 has the same length."""
     lattice = enumerate_ideals(A, cap)
     rep = TheoremReport(
-        algebra=A.provenance or "anonymous",
+        algebra=render(A.quotient.ideal),
         lattice_size=len(lattice.members),
         graded_size=len(lattice.graded_members),
     )
@@ -421,7 +369,7 @@ def oracle_theorems(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> TheoremReport:
             )
     rep.index_plain = oracle_index(lattice, graded=False)
     rep.index_graded = oracle_index(lattice, graded=True)
-    rep.socle_dim = socle_dimension(A)
+    rep.socle_dim = socle(A.quotient).dimension
     rep.checks += 2
     if rep.index_plain != rep.index_graded:
         rep.failures.append(
@@ -455,23 +403,17 @@ def oracle_theorems(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> TheoremReport:
 def dump_fixture(A: FiniteAlgebra) -> str:
     """Fixture text: the `.gx` declarations plus an explicit
     multiplication-table block in comments (one line per variable action)."""
-    lines = []
-    if A.ring_header:
-        lines.append("ring " + A.ring_header + ";")
-    if A.provenance:
-        lines.append(f"ideal I = {A.provenance};")
-    lines.append("# multiplication-table")
-    lines.append(
-        "# basis " + " ".join(f"b{i}={lbl}" for i, lbl in enumerate(A.basis_labels))
-    )
-    lines.append("# degrees " + " ".join(str(d) for d in A.degrees))
-    field = A.field
-    for name, M in zip(A.names, A.matrices):
-        for j in range(A.dimension):
-            expr = []
-            for r in range(A.dimension):
-                c = M[r][j]
-                if not field.is_zero(c):
-                    expr.append(f"{c}*b{r}")
-            lines.append(f"# {name}*b{j} = " + (" + ".join(expr) if expr else "0"))
+    Q = A.quotient
+    labels = (_mono_str(Q.ring, m) or "1" for m in Q.monomials)
+    lines = [
+        f"ring {Q.ring};",
+        f"ideal I = {render(Q.ideal)};",
+        "# multiplication-table",
+        "# basis " + " ".join(f"b{i}={lbl}" for i, lbl in enumerate(labels)),
+        "# degrees " + " ".join(str(d) for d in Q.degrees),
+    ]
+    for name, cols in zip(Q.ring.pres_names, Q.columns):
+        for j, col in enumerate(cols):
+            expr = " + ".join(f"{col[r]}*b{r}" for r in sorted(col))
+            lines.append(f"# {name}*b{j} = " + (expr or "0"))
     return "\n".join(lines) + "\n"

@@ -15,6 +15,11 @@ when I is primary to the ideal of all variables.  The decomposition
 certifies its components this way, so the component verdict shares R/I
 with the decomposition; `QuotientBasis(J)`, from a Groebner basis of J,
 is the reference the tests compare it with.
+
+`closure` is the one closure search over R/I: the ideal generated by some
+vectors of R/I (the lattice oracle's cyclic ideals), and on dual
+coordinates the module generated under contraction (the inverse system's
+generation check).
 """
 
 from __future__ import annotations
@@ -22,7 +27,23 @@ from __future__ import annotations
 from .artin import QuotientBasis, RadicalCertificate
 from .errors import GradixError, RadicalNotMaximal
 from .groebner import Ideal
-from .linalg import span_of
+from .linalg import Span, span_of
+
+
+def closure(Q: QuotientBasis, vectors, step) -> Span:
+    """The span of `vectors` (coordinates in Q) closed under `step(i, .)`
+    for every variable i: the ideal of R/I they generate when `step` is
+    `Q.apply_var`, the dual module they generate under contraction when it
+    is `Q.apply_var_transpose`.  Stops once the span is all of R/I."""
+    span = Span(Q.ring.field, Q.dimension)
+    todo = [v for v in vectors if span.add(v)]
+    while todo and span.dim < Q.dimension:
+        w = todo.pop()
+        for i in range(Q.ring.npres):
+            image = step(i, w)
+            if span.add(image):
+                todo.append(image)
+    return span
 
 
 def quotient_of_subspace(Q: QuotientBasis, vectors) -> QuotientBasis:

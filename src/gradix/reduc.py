@@ -48,9 +48,12 @@ def index_of_reducibility(I: Ideal) -> int:
 
 def graded_index(I: Ideal) -> int:
     """Graded socle rank; for Laurent rings computed after setting the
-    unit variable to 1."""
+    unit variable to 1.  The unit ideal is refused: the zero ring has no
+    decomposition of 0, so it has no index."""
     if not I.is_graded():
         raise NotGraded("graded index of a non-graded ideal")
+    if I.contains(I.ring.one()):
+        raise ScopeError("the graded index needs a proper ideal (R/I is zero)")
     try:
         return artin.graded_socle_rank(I).rank
     except NotZeroDimensional as e:
@@ -114,7 +117,7 @@ def _homogeneous_linear_candidates(ring, rng, attempts: int):
         yield f
 
 
-def index_of_star_ideal(S: Ideal, seed: int = 0) -> int:
+def index_of_star_ideal(S: Ideal) -> int:
     """Index of reducibility of a graded ideal S with *Artinian quotient:
     directly when S is primary to the variables, else through a certified
     homogeneous nonzerodivisor and dehomogenization."""
@@ -124,7 +127,7 @@ def index_of_star_ideal(S: Ideal, seed: int = 0) -> int:
             return artin.residue_socle_dimension(cert)
     except NotZeroDimensional:
         pass
-    rng = random.Random(seed or 0x57A2)
+    rng = random.Random(0x57A2)
     for ell in _homogeneous_linear_candidates(S.ring, rng, attempts=32):
         if ell.is_zero() or S.contains(ell):
             continue

@@ -245,18 +245,20 @@ def _all_rref(field, n):
 def ref_ideal_keys(A):
     """(member keys, graded member keys) of a FiniteAlgebra over GF(p), in
     the order of `_all_rref`: every subspace is tested for closure under
-    the variable matrices, and a member is graded when every degree
-    component of every basis row lies in it."""
-    field = A.field
-    n = A.dimension
+    the dense matrices of the variables, and a member is graded when every
+    degree component of every basis row lies in it."""
+    Q = A.quotient
+    field = Q.ring.field
+    n = Q.dimension
+    matrices = [Q.action_matrix(Q.ring.var(name)) for name in Q.ring.pres_names]
     members = []
     graded = []
-    degree_set = sorted(set(A.degrees))
-    masks = {d: [i for i, dd in enumerate(A.degrees) if dd == d] for d in degree_set}
+    degree_set = sorted(set(Q.degrees))
+    masks = {d: [i for i, dd in enumerate(Q.degrees) if dd == d] for d in degree_set}
     for key in _all_rref(field, n):
         span = span_of(field, n, [list(row) for row in key])
         closed = all(
-            span.contains(matvec(field, M, row)) for row in key for M in A.matrices
+            span.contains(matvec(field, M, row)) for row in key for M in matrices
         )
         if not closed:
             continue

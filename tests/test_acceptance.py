@@ -251,7 +251,7 @@ def test_criterion_7_oracle_exhaustion():
         ring = RingSpec.make(field, names)
         I = Ideal(ring, [parse_poly(s, ring) for s in gens])
         A = oracle.FiniteAlgebra.from_ideal(I)
-        if A.dimension > 5:
+        if A.quotient.dimension > 5:
             checks.append((f"dim cap {gens}", False))
             continue
         rep = oracle.oracle_theorems(A)

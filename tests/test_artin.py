@@ -38,7 +38,7 @@ def test_quotient_basis_min_nonmonomial():
     assert Q.dimension == 4
     assert Q.monomials == [(0, 0), (0, 1), (1, 0), (0, 2)]
     # multiplication matrices commute (exact)
-    Mx, My = Q.var_matrix(0), Q.var_matrix(1)
+    Mx, My = Q.action_matrix(Q.ring.var("x")), Q.action_matrix(Q.ring.var("y"))
 
     def matmul(A, B):
         n = len(A)

@@ -164,6 +164,21 @@ def test_oracle_refuses_what_it_cannot_decide(capsys, tmp_path, document, refusa
     assert captured.err.startswith("refused:") and refusal in captured.err
 
 
+def test_gindex_refuses_the_unit_ideal(capsys, tmp_path):
+    path = tmp_path / "input.gx"
+    path.write_text("ring GF(3)[x,y];\nideal U = 1;\n")
+    assert main(["gindex", "-i", str(path), "--ideal", "U"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:") and "proper ideal" in captured.err
+
+
+def test_seed_is_a_verify_thm_flag_only(capsys):
+    argv = ["index", "-i", fx("min_nonmonomial.gx"), "--ideal", "I", "--seed", "1"]
+    assert main(argv) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_moh_parameters_validation():
     assert moh_parameters(1, 3) == 1
     assert moh_parameters(3, 25) == 2

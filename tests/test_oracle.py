@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gradix.artin import QuotientBasis
+from gradix.artin import QuotientBasis, socle
 from gradix.errors import CapExceeded
 from gradix.fields import GF
 from gradix.groebner import Ideal
@@ -21,7 +21,6 @@ from gradix.oracle import (
     oracle_index,
     oracle_irreducible,
     oracle_theorems,
-    socle_dimension,
 )
 from gradix.poly import RingSpec
 from gradix.reduc import index_of_reducibility
@@ -85,10 +84,10 @@ def test_oracle_irreducible_cases():
 def test_oracle_index_matches_socle():
     A = algebra(GF(2), ("x", "y"), ["x^2", "x*y", "y^2"])
     lat = enumerate_ideals(A)
-    assert oracle_index(lat, graded=False) == 2 == socle_dimension(A)
+    assert oracle_index(lat, graded=False) == 2 == socle(A.quotient).dimension
     B = algebra(GF(3), ("x",), ["x^3"])
     latB = enumerate_ideals(B)
-    assert oracle_index(latB, graded=False) == 1 == socle_dimension(B)
+    assert oracle_index(latB, graded=False) == 1 == socle(B.quotient).dimension
 
 
 def test_oracle_index_min_nonmonomial_gf3():
@@ -129,7 +128,8 @@ def test_lattice_closed_under_intersection_and_multiplication():
     A = algebra(GF(3), ("x", "y"), ["x^2+x*y", "x^2-y^2", "y^3"])
     lat = enumerate_ideals(A)
     keys = {m.key for m in lat.members}
-    field = A.field
+    Q = A.quotient
+    field = Q.ring.field
     for a in lat.members:
         for b in lat.members:
             assert lat.intersect(a, b).key in keys
@@ -137,10 +137,10 @@ def test_lattice_closed_under_intersection_and_multiplication():
     for m in lat.members:
         span = lat.span(m)
         for row in m.key:
-            for M in A.matrices:
+            for M in (Q.action_matrix(Q.ring.var(name)) for name in ("x", "y")):
                 img = [
-                    sum(M[r][j] * row[j] for j in range(A.dimension)) % 3
-                    for r in range(A.dimension)
+                    sum(M[r][j] * row[j] for j in range(Q.dimension)) % 3
+                    for r in range(Q.dimension)
                 ]
                 assert span.contains([field.from_int(c) for c in img])
 
@@ -206,9 +206,7 @@ def _same_lattice(A):
 def _finite_algebra(I):
     """R/I as a FiniteAlgebra without the oracle's scope checks, so that
     non-graded quotients are enumerated too."""
-    Q = QuotientBasis(I)
-    mats = [Q.var_matrix(i) for i in range(I.ring.npres)]
-    return FiniteAlgebra(I.ring.field, Q.dimension, mats, list(Q.degrees))
+    return FiniteAlgebra(QuotientBasis(I))
 
 
 def _gf_fixture_ideals():
@@ -247,13 +245,13 @@ def test_unit_points_are_not_closed(monkeypatch):
     """R/(x^2, y^2) over GF(2) has 15 projective points; the 8 with a
     nonzero constant term are units, and only the first of them is closed."""
     closed = []
-    cyclic_ideal = oracle._cyclic_ideal
+    closure = oracle.closure
 
-    def counting(A, columns, v):
-        closed.append(v)
-        return cyclic_ideal(A, columns, v)
+    def counting(Q, vectors, step):
+        closed.append(vectors)
+        return closure(Q, vectors, step)
 
-    monkeypatch.setattr(oracle, "_cyclic_ideal", counting)
+    monkeypatch.setattr(oracle, "closure", counting)
     A = algebra(GF(2), ("x", "y"), ["x^2", "y^2"])
     _same_lattice(A)
     assert len(closed) == 15 - 8 + 1
@@ -314,7 +312,7 @@ def test_index_agrees_with_the_lattice_oracle_on_random_graded_ideals(I):
 def test_lattices_past_the_old_subspace_cap_are_answered(field, names, gens, size):
     A = algebra(field, names, gens)
     # the walk over every subspace refused more than 200,000 of them
-    assert subspace_count_estimate(A.dimension, field.characteristic) > 200_000
+    assert subspace_count_estimate(A.quotient.dimension, field.characteristic) > 200_000
     rep = oracle_theorems(A)
     assert rep.ok, rep.failures
     assert rep.lattice_size == size

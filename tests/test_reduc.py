@@ -5,7 +5,7 @@ import time
 import pytest
 
 from gradix.corpus import corpus
-from gradix.errors import ContainmentFailure, NotGraded
+from gradix.errors import ContainmentFailure, NotGraded, ScopeError
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal, ideal_equal
 from gradix.invsys import decompose
@@ -103,6 +103,14 @@ def test_is_graded_irreducible():
     assert is_graded_irreducible(Ideal(R2, [P("x"), P("y")])).irreducible is True
     with pytest.raises(NotGraded):
         is_graded_irreducible(Ideal(R2, [P("x^2-x-y")]))
+
+
+def test_the_unit_ideal_has_no_graded_index():
+    unit = Ideal(R2, [P("1")])
+    with pytest.raises(ScopeError, match="proper ideal"):
+        graded_index(unit)
+    verdict = is_graded_irreducible(unit)
+    assert not verdict.certified and verdict.irreducible is None
 
 
 def test_decompose_min_nonmonomial():

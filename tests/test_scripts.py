@@ -4,6 +4,7 @@ import importlib.util
 import os
 import sys
 
+from gradix.errors import TheoremContradiction
 from gradix.reduc import EquivalenceReport
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -53,3 +54,16 @@ def test_oracle_exhaustion_exits_1_on_a_failing_algebra(monkeypatch, capsys):
     monkeypatch.setattr(script, "oracle_theorems", failing)
     assert script.main() == 1
     assert f"{len(script.FIXTURES)} FAILURES" in capsys.readouterr().out
+
+
+def test_star_comparison_experiment_exits_1_on_a_contradiction(monkeypatch, capsys):
+    script = load("star_comparison_experiment")
+
+    def contradicting(I):
+        raise TheoremContradiction("planted", {"ideal": "x"})
+
+    monkeypatch.setattr(script, "compare_star", contradicting)
+    monkeypatch.setattr(sys, "argv", ["star_comparison_experiment.py", "--count", "3"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "CONTRADICTION" in out and "ideal: " in out
