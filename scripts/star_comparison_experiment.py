@@ -7,7 +7,9 @@ generator count of I/I*, and the hypothesis/conclusion flags of the
 principal-quotient criterion, and prints one row per instance.  Useful
 for hunting candidate necessary conditions for r(I) = r(I*).  A met
 hypothesis with a failed conclusion contradicts the criterion: the run
-prints the ideal and exits 1.
+prints the ideal and exits 1.  Draws that are graded or refused give no
+row; after MAX_DRAWS_PER_ROW draws per requested row the run stops and
+exits 1.
 
     python scripts/star_comparison_experiment.py --count 25 --seed 3
 """
@@ -25,6 +27,8 @@ from gradix.groebner import Ideal  # noqa: E402
 from gradix.gxparser import parse_field, render  # noqa: E402
 from gradix.poly import RingSpec  # noqa: E402
 from gradix.reduc import compare_star  # noqa: E402
+
+MAX_DRAWS_PER_ROW = 100
 
 
 def random_nongraded(ring, rng):
@@ -51,8 +55,9 @@ def main():
     ring = RingSpec.make(field, ("x", "y"))
 
     print(f"{'#':>3} {'r':>3} {'r*':>3} {'mu':>3} {'hyp':>4} {'concl':>6}  ideal")
-    shown = 0
-    while shown < args.count:
+    shown = draws = 0
+    while shown < args.count and draws < MAX_DRAWS_PER_ROW * args.count:
+        draws += 1
         I = random_nongraded(ring, rng)
         if I.is_graded():
             continue
@@ -69,6 +74,9 @@ def main():
             f"{'yes' if cmp.hypothesis_met else 'no':>4} "
             f"{'yes' if cmp.conclusion_holds else 'no':>6}  {render(I)}"
         )
+    if shown < args.count:
+        print(f"gave up: {shown} of {args.count} rows after {draws} draws")
+        return 1
     print("no aborts: every met hypothesis had a holding conclusion")
     return 0
 

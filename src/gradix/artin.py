@@ -1,6 +1,5 @@
 """Linear algebra of Artinian quotients R/I: multiplication structure,
-socles, graded socle ranks, type, Hilbert functions, and radical-maximality
-certification.
+socles, Hilbert functions, and radical-maximality certification.
 
 The quotient algebra is its multiplication columns: `QuotientBasis.columns`
 holds, for each variable, the coordinates of x_i * b for every standard
@@ -9,16 +8,17 @@ form is walked through them.  `Ideal.normal_form` runs only for the
 boundary columns (x_i * b not standard) and, in `action_matrix`, once to
 reduce the acting polynomial g.
 
-The socle of a graded quotient is computed degree slice by degree slice so
-its basis is homogeneous by construction; the ungraded path stacks the
-multiplication matrices and takes one kernel.  The index of reducibility
-of an ideal whose radical is the ideal of all variables is that socle,
-taken from the sparse columns; only other maximal radicals (translated
-points, non-rational residue fields) build dense action matrices of the
-radical's generators (`socle_wrt`), which stays the reference the column
-path is tested against.  Minimal polynomials store each reduced power
-with its pivot, so a new power is reduced in one pass over the stored
-ones.
+A socle is its basis as a list of coordinate vectors in R/I (`len` is
+its dimension, `QuotientBasis.to_poly` renders a vector).  For a graded
+quotient it is computed one degree slice at a time, so the basis is
+homogeneous; the ungraded path stacks the multiplication matrices and
+takes one kernel.  `residue_socle_dimension` reads the index of
+reducibility off a certificate: the socle from the sparse columns when
+the radical is the ideal of all variables, else `socle_wrt` on dense
+action matrices of the radical's generators (translated points,
+non-rational residue fields), which stays the reference the column path
+is tested against.  Minimal polynomials store each reduced power with
+its pivot, so a new power is reduced in one pass over the stored ones.
 
 `radical_maximal_certify` is the one place that decides whether I is in
 certified scope, and the `RadicalCertificate` it returns owns the
@@ -30,8 +30,12 @@ long as the certificate, i.e. for one call: a memo of one quotient per
 ideal kept them alive across calls and raised the corpus benchmark's peak
 RSS past its 5% bound.
 
-Ideals containing a certified I are read off subspaces of R/I in
-`gradix.overideal`; a quotient built there knows whether it is graded
+`QuotientBasis` is built two ways, both through `_setup`, which derives
+the coordinates, degrees and unit from the standard monomials: from a
+Groebner basis of I (`QuotientBasis(I)`), and from standard monomials
+and columns read off another quotient (`QuotientBasis.from_columns`).
+Ideals containing a certified I are built the second way in
+`gradix.overideal`; such a quotient knows whether it is graded
 (`QuotientBasis.graded`), so the socle never asks its ideal for a
 Groebner basis to find out.
 """
@@ -49,7 +53,7 @@ from .errors import (
 )
 from .groebner import Ideal, ideal_equal, standard_monomials
 from .linalg import kernel_basis
-from .poly import Polynomial, is_homogeneous
+from .poly import Polynomial
 from .upoly import qq_irreducible, squarefree_part
 
 
@@ -57,40 +61,51 @@ class QuotientBasis:
     """Standard monomials of a zero-dimensional ideal together with the
     multiplication matrices of all presentation variables."""
 
-    _graded: bool | None = None  # set when built, else read once from the ideal
-
     def __init__(self, ideal: Ideal, order=None):
-        self.ideal = ideal
-        self.ring = ideal.ring
-        self.order = order or self.ring.default_order()
-        sm = standard_monomials(ideal, self.order)
+        order = order or ideal.ring.default_order()
+        sm = standard_monomials(ideal, order)
         if sm is None:
             raise NotZeroDimensional(f"quotient by {ideal!r} is not finite-dimensional")
-        self.monomials: list[tuple] = sm
-        self.index = {m: i for i, m in enumerate(sm)}
-        self.dimension = len(sm)
-        self.degrees = [self.ring.weighted_degree(m) for m in sm]
-        field = self.ring.field
+        self._setup(ideal, order, sm, None)
+        one = self.ring.field.one()
         self.columns: list[list[dict]] = []
         for i in range(self.ring.npres):
             cols = []
-            for b in self.monomials:
-                shifted = list(b)
-                shifted[i] += 1
-                shifted = tuple(shifted)
+            for b in sm:
+                shifted = b[:i] + (b[i] + 1,) + b[i + 1 :]
                 if shifted in self.index:
-                    cols.append({self.index[shifted]: field.one()})
+                    cols.append({self.index[shifted]: one})
                 else:
-                    nf = ideal.normal_form(self.ring.monomial(shifted), self.order)
+                    nf = ideal.normal_form(self.ring.monomial(shifted), order)
                     cols.append({self.index[m]: c for m, c in nf.terms.items()})
             self.columns.append(cols)
+
+    @classmethod
+    def from_columns(cls, ideal: Ideal, order, monomials, columns, graded: bool):
+        """R/I from its standard monomials (ascending in `order`) and its
+        multiplication columns, for a quotient read off another one
+        rather than off a Groebner basis of `ideal`."""
+        Q = cls.__new__(cls)
+        Q._setup(ideal, order, monomials, graded)
+        Q.columns = columns
+        return Q
+
+    def _setup(self, ideal: Ideal, order, monomials, graded: bool | None) -> None:
+        """Everything but the columns, derived from the standard monomials;
+        `graded` None means ask the ideal when first needed."""
+        self.ideal = ideal
+        self.ring = ideal.ring
+        self.order = order
+        self.monomials: list[tuple] = monomials
+        self.index = {m: i for i, m in enumerate(monomials)}
+        self.dimension = len(monomials)
+        self.degrees = [self.ring.weighted_degree(m) for m in monomials]
+        self._graded = graded
         self._one = (0,) * self.ring.npres
+        unit = [self.ring.field.zero()] * self.dimension
         if self.dimension:
-            unit = [field.zero()] * self.dimension
-            unit[self.index[self._one]] = field.one()
-            self._mono_nf: dict = {self._one: unit}
-        else:
-            self._mono_nf = {self._one: []}
+            unit[self.index[self._one]] = self.ring.field.one()
+        self._mono_nf: dict = {self._one: unit}
 
     @property
     def graded(self) -> bool:
@@ -198,10 +213,6 @@ class QuotientBasis:
         return out
 
 
-def quotient_basis(I: Ideal, order=None) -> QuotientBasis:
-    return QuotientBasis(I, order)
-
-
 def _monomials_of_total_degree(n: int, d: int):
     if n == 1:
         yield (d,)
@@ -231,18 +242,6 @@ def certified_power_bound(Q: QuotientBasis) -> int:
 # socles
 
 
-@dataclass
-class SocleData:
-    vectors: list
-    polynomials: list
-    dimension: int
-    homogeneous_flags: list
-    degree_histogram: dict
-
-    def __iter__(self):
-        return iter(self.polynomials)
-
-
 def _kernel_by_degree(Q: QuotientBasis, columns: list[dict], graded: bool) -> list[list]:
     """Kernel of the linear map on R/I whose j-th column is the sparse
     `columns[j]` (row key -> entry).  When `graded`, the map must preserve
@@ -265,33 +264,22 @@ def _kernel_by_degree(Q: QuotientBasis, columns: list[dict], graded: bool) -> li
     return out
 
 
-def socle(Q: QuotientBasis) -> SocleData:
+def socle(Q: QuotientBasis) -> list[list]:
     """Basis of 0 : (all variables) in R/I; homogeneous by construction
     when the ideal is graded."""
     columns = [
         {(i, r): a for i in range(Q.ring.npres) for r, a in Q.columns[i][j].items()}
         for j in range(Q.dimension)
     ]
-    return _make_socle_data(Q, _kernel_by_degree(Q, columns, Q.graded))
+    return _kernel_by_degree(Q, columns, Q.graded)
 
 
-def socle_wrt(Q: QuotientBasis, annihilators) -> SocleData:
+def socle_wrt(Q: QuotientBasis, annihilators) -> list[list]:
     """Basis of 0 : (g_1, ..., g_k) in R/I for arbitrary ideal generators;
     a generator inside I acts as zero and adds no rows."""
     reduced = (Q.ideal.normal_form(g, Q.order) for g in annihilators)
     rows = [row for g in reduced if not g.is_zero() for row in Q.action_matrix(g)]
-    return _make_socle_data(Q, kernel_basis(Q.ring.field, rows, Q.dimension))
-
-
-def _make_socle_data(Q: QuotientBasis, vectors) -> SocleData:
-    polys = [Q.to_poly(v) for v in vectors]
-    flags = [is_homogeneous(p) for p in polys]
-    hist: dict[int, int] = {}
-    for p, h in zip(polys, flags):
-        if h and not p.is_zero():
-            d = Q.ring.weighted_degree(next(iter(p.terms)))
-            hist[d] = hist.get(d, 0) + 1
-    return SocleData(vectors, polys, len(vectors), flags, hist)
+    return kernel_basis(Q.ring.field, rows, Q.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -461,54 +449,12 @@ def residue_socle_dimension(cert: RadicalCertificate) -> int:
         )
     Q = cert.quotient
     if cert.irrelevant and not Q.ring.has_laurent:
-        sd = socle(Q).dimension
+        sd = len(socle(Q))
     else:
-        sd = socle_wrt(Q, cert.radical.gens).dimension
+        sd = len(socle_wrt(Q, cert.radical.gens))
     if sd % cert.residue_dimension:
         raise GradixError("internal: socle dimension not divisible by residue degree")
     return sd // cert.residue_dimension
-
-
-def local_socle_dimension(I: Ideal) -> int:
-    """Socle dimension over the residue field for a zero-dimensional ideal
-    with maximal radical; this is the index of reducibility."""
-    return residue_socle_dimension(radical_maximal_certify(I))
-
-
-def type_of_quotient(I: Ideal) -> int:
-    """Cohen-Macaulay type of the Artinian quotient R/I: socle dimension
-    over the residue field of the (certified maximal) radical."""
-    return local_socle_dimension(I)
-
-
-@dataclass
-class GradedSocleRank:
-    rank: int
-    histogram: dict | None
-
-
-def graded_socle_rank(arg) -> GradedSocleRank:
-    """Rank of the socle over the graded field; accepts an Ideal or a
-    QuotientBasis.
-
-    Without invertible variables the graded field is k and the rank is the
-    socle dimension, with its degree histogram.  With a Laurent unit the
-    quotient is typically not finite-dimensional over k; the rank is then
-    computed after dehomogenizing (unit variable set to 1), which
-    identifies it with the type of the resulting Artinian local quotient.
-    """
-    if isinstance(arg, QuotientBasis):
-        I, Q = arg.ideal, arg
-    else:
-        I, Q = arg, None
-    if not I.is_graded():
-        raise NotGraded("graded socle rank needs a graded ideal")
-    ring = I.ring
-    if ring.has_laurent:
-        dehom = dehomogenize_units(I)
-        return GradedSocleRank(local_socle_dimension(dehom), None)
-    data = socle(Q if Q is not None else QuotientBasis(I))
-    return GradedSocleRank(data.dimension, dict(data.degree_histogram))
 
 
 def dehomogenize_units(I: Ideal) -> Ideal:

@@ -22,7 +22,7 @@ from .corpus import corpus
 from .errors import GradixError, ParseError, ScopeError, TheoremContradiction
 from .groebner import Ideal, eliminate, intersect_many, quotient, saturate
 from .gxparser import parse_field, parse_file, parse_poly, render
-from .poly import GrevLex, Lex, RingSpec
+from .poly import GrevLex, Lex, RingSpec, is_homogeneous
 from .star import star, star_lambda, star_truncated
 
 SCHEMA = 1
@@ -133,18 +133,25 @@ def _eliminate(c):
 
 
 def _socle(c):
-    data = artin.socle(artin.quotient_basis(c.ideal))
-    basis = [render(p) for p in data.polynomials]
+    Q = artin.QuotientBasis(c.ideal)
+    polys = [Q.to_poly(v) for v in artin.socle(Q)]
+    # degrees of the homogeneous basis elements (all of them when I is graded)
+    histogram: dict[int, int] = {}
+    for p in polys:
+        if is_homogeneous(p):
+            d = Q.ring.weighted_degree(next(iter(p.terms)))
+            histogram[d] = histogram.get(d, 0) + 1
+    basis = [render(p) for p in polys]
     res = {
-        "dimension": data.dimension,
+        "dimension": len(polys),
         "basis": basis,
-        "degree_histogram": {str(k): v for k, v in sorted(data.degree_histogram.items())},
+        "degree_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
-    return res, [f"dimension {data.dimension}"] + basis
+    return res, [f"dimension {len(polys)}"] + basis
 
 
 def _hilbert(c):
-    hf = artin.hilbert_function(artin.quotient_basis(c.ideal))
+    hf = artin.hilbert_function(artin.QuotientBasis(c.ideal))
     return {"hilbert": hf}, [f"{d}: {v}" for d, v in hf]
 
 
@@ -298,7 +305,13 @@ def _cmd_verify_thm(args, report):
         nvars = tuple(int(x) for x in args.nvars.split(","))
     except ValueError:
         raise ParseError(f"--nvars needs comma-separated integers (got {args.nvars!r})")
-    seed = args.seed if args.seed is not None else int(os.environ.get("GRADIX_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("GRADIX_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ParseError(f"GRADIX_SEED needs an integer (got {raw!r})") from None
     if args.jobs < 1:
         raise GradixError(f"--jobs needs a positive number of workers (got {args.jobs})")
     ideals = corpus(seed=seed, count=args.count, field=field, nvars_options=nvars)
@@ -342,7 +355,7 @@ _COMMANDS = {
     "socle": ("socle basis and dimension", _ON_IDEAL, _socle),
     "hilbert": ("Hilbert function of the graded quotient", _ON_IDEAL, _hilbert),
     "type": ("Cohen-Macaulay type of the Artinian quotient", _ON_IDEAL,
-             lambda c: _value("type", artin.type_of_quotient(c.ideal))),
+             lambda c: _value("type", reduc.index_of_reducibility(c.ideal))),
     "index": ("index of reducibility", _ON_IDEAL,
               lambda c: _value("index", reduc.index_of_reducibility(c.ideal))),
     "gindex": ("graded index of reducibility", _ON_IDEAL,

@@ -166,20 +166,6 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def field_add(field, a, b):
-    """Exact sum of two canonical elements of `field`."""
-    return field.add(field.validate(a), field.validate(b))
-
-
-def field_mul(field, a, b):
-    return field.mul(field.validate(a), field.validate(b))
-
-
-def field_mul_inv(field, a):
-    """Multiplicative inverse; raises ZeroDivisionError on zero."""
-    return field.inv(field.validate(a))
-
-
 def char_guard(field, forbidden) -> None:
     """Refuse coefficient fields whose characteristic is in `forbidden`."""
     if field.characteristic in set(forbidden):

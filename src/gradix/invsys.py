@@ -27,7 +27,6 @@ from .artin import (
     RadicalCertificate,
     _monomials_of_total_degree as _monomials_of_degree,
     certified_power_bound,
-    quotient_basis,
     socle,
 )
 from .errors import (
@@ -210,7 +209,7 @@ def inverse_system(I: Ideal) -> InverseSystem:
     coords = _minimal_generator_coords(Q)
     if closure(Q, coords, Q.apply_var_transpose).dim != Q.dimension:
         raise GradixError("internal: dual generators fail to generate the inverse system")
-    sd = socle(Q).dimension
+    sd = len(socle(Q))
     if len(coords) != sd:
         raise GradixError(
             f"internal: {len(coords)} dual generators vs socle dimension {sd}"
@@ -246,7 +245,7 @@ def annihilator(F: DualPoly, ring) -> Ideal:
         gens.append(Polynomial(ring, terms, _normalized=True))
     gens.extend(ring.monomial(m) for m in _monomials_of_degree(n, d + 1))
     ideal = Ideal(ring, gens)
-    if socle(quotient_basis(ideal)).dimension != 1:
+    if len(socle(QuotientBasis(ideal))) != 1:
         raise GradixError("internal: annihilator failed the irreducibility certificate")
     return Ideal(ring, list(ideal.groebner_basis()))
 
@@ -330,7 +329,7 @@ def decompose(I: Ideal, graded: bool = False) -> DecompReport:
         irredundant=irredundant,
         all_graded=all_graded,
         component_certificates=certs,
-        component_socle_dimensions=[socle(c.quotient).dimension for c in certs],
+        component_socle_dimensions=[len(socle(c.quotient)) for c in certs],
     )
 
 
@@ -357,7 +356,7 @@ def verify_decomposition(I: Ideal, parts) -> VerifyResult:
     certs: list = []
     for p in parts:
         try:
-            certs.append(artin.local_socle_dimension(p) == 1)
+            certs.append(artin.residue_socle_dimension(artin.radical_maximal_certify(p)) == 1)
         except ScopeError:
             certs.append(None)
     if any(c is False for c in certs):

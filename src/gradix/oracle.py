@@ -26,6 +26,10 @@ are ordered by dimension, then pivot columns, then entries, which makes
 every report deterministic.  The cap counts the work: points plus sums
 formed.  The number of points, (q^n - 1)/(q - 1), skipped units included,
 is checked before the search starts; each sum is counted as it is formed.
+
+Irreducibility and the decomposition searches meet members with one
+routine, `IdealLattice.intersect`, which computes each pair once per
+lattice: the same pairs of larger members recur for every N.
 """
 
 from __future__ import annotations
@@ -111,12 +115,6 @@ class IdealLattice:
     def contains(self, big: Subspace, small: Subspace) -> bool:
         sp = self.span(big)
         return all(sp.contains(list(r)) for r in small.key)
-
-    def intersection_dim(self, a: Subspace, b: Subspace) -> int:
-        union = self.span(a).copy()
-        for r in b.key:
-            union.add(list(r))
-        return a.dim + b.dim - union.dim
 
     def intersect(self, a: Subspace, b: Subspace) -> Subspace:
         """Exact subspace intersection via membership conditions; the
@@ -240,7 +238,8 @@ def enumerate_ideals(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> IdealLattice:
 
 def oracle_irreducible(lattice: IdealLattice, N: Subspace, graded: bool) -> bool:
     """Literally the definition: no pair of strictly larger (graded)
-    members intersects to N."""
+    members intersects to N.  Both members of a pair contain N, so their
+    intersection is N exactly when it has N's dimension."""
     pool = lattice.graded_members if graded else lattice.members
     bigger = [
         M
@@ -249,7 +248,7 @@ def oracle_irreducible(lattice: IdealLattice, N: Subspace, graded: bool) -> bool
     ]
     for i, M1 in enumerate(bigger):
         for M2 in bigger[i + 1 :]:
-            if lattice.intersection_dim(M1, M2) == N.dim:
+            if lattice.intersect(M1, M2).dim == N.dim:
                 return False
     return True
 
@@ -369,7 +368,7 @@ def oracle_theorems(A: FiniteAlgebra, cap: int = DEFAULT_CAP) -> TheoremReport:
             )
     rep.index_plain = oracle_index(lattice, graded=False)
     rep.index_graded = oracle_index(lattice, graded=True)
-    rep.socle_dim = socle(A.quotient).dimension
+    rep.socle_dim = len(socle(A.quotient))
     rep.checks += 2
     if rep.index_plain != rep.index_graded:
         rep.failures.append(

@@ -8,7 +8,10 @@ the largest standard monomial of its row, the pivots of J/I are the
 leading monomials of J that are standard for I, so the standard
 monomials of J are the other standard monomials of I, in the same order.
 Each multiplication column of R/J is the column of R/I reduced through
-that echelon form, which is the normal form modulo J.
+that echelon form, which is the normal form modulo J.  The standard
+monomials, the columns and whether J is graded go to
+`QuotientBasis.from_columns`, which derives the rest of R/J as a
+Groebner-built quotient does.
 
 `over_ideal_certificate` derives the certificate of J from that of I
 when I is primary to the ideal of all variables.  The decomposition
@@ -92,26 +95,17 @@ def quotient_of_subspace(Q: QuotientBasis, vectors) -> QuotientBasis:
                 raise GradixError("internal: the subspace is not an ideal of the quotient")
     keep = [k for k in range(D) if k not in rows]
     new = {k: j for j, k in enumerate(keep)}
-    out = QuotientBasis.__new__(QuotientBasis)
-    out.ideal = Ideal(ring, list(Q.ideal.gens) + [Q.to_poly(v) for v in vectors])
-    out.ring = ring
-    out.order = Q.order
-    out.monomials = [Q.monomials[k] for k in keep]
-    out.index = {m: j for j, m in enumerate(out.monomials)}
-    out.dimension = len(keep)
-    out.degrees = [Q.degrees[k] for k in keep]
-    out.columns = [
-        [{new[r]: c for r, c in reduce(cols[k]).items()} for k in keep] for cols in Q.columns
-    ]
-    out._graded = Q.graded and all(
+    graded = Q.graded and all(
         len({Q.degrees[k] for k, c in enumerate(v) if not field.is_zero(c)}) <= 1
         for v in vectors
     )
-    out._one = Q._one
-    out._mono_nf = {out._one: [zero] * out.dimension}
-    if out.dimension:
-        out._mono_nf[out._one][out.index[out._one]] = field.one()
-    return out
+    return QuotientBasis.from_columns(
+        Ideal(ring, list(Q.ideal.gens) + [Q.to_poly(v) for v in vectors]),
+        Q.order,
+        [Q.monomials[k] for k in keep],
+        [[{new[r]: c for r, c in reduce(cols[k]).items()} for k in keep] for cols in Q.columns],
+        graded,
+    )
 
 
 def over_ideal_certificate(cert: RadicalCertificate, vectors) -> RadicalCertificate:

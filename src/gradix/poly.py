@@ -405,16 +405,6 @@ class Polynomial:
 # grading utilities
 
 
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise GradixError(f"unknown operation {op!r}")
-
-
 def homogeneous_components(f: Polynomial) -> dict:
     """Split f into its weighted-degree homogeneous parts; keys are degrees."""
     ring = f.ring

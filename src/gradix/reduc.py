@@ -2,12 +2,15 @@
 between an ideal and its largest graded subideal, and the equivalence
 harness over a corpus.
 
-Certified scope for the plain index is a zero-dimensional ideal whose
-radical is maximal (Artinian local quotient); the graded index extends to
-Laurent quotients by dehomogenizing at the unit variable.  Hypothesis and
-conclusion of the principal-quotient comparison are tracked explicitly,
-and a met hypothesis with a failed conclusion raises a theorem
-contradiction rather than returning quietly.
+`index_of_reducibility` is the one index function: it certifies I and
+reads the socle dimension over the residue field off R/I.  Its certified
+scope is a zero-dimensional ideal whose radical is maximal (Artinian
+local quotient); the CLI's `type` is the same number.  `graded_index` is
+the one graded-index function: the socle dimension of a graded R/I, and
+for Laurent quotients the index after setting the unit variables to 1.
+Hypothesis and conclusion of the principal-quotient comparison are
+tracked explicitly, and a met hypothesis with a failed conclusion raises
+a theorem contradiction rather than returning quietly.
 
 `verify_equivalence` reads its verdicts off one `invsys.decompose` pass:
 r is the socle dimension of R/I, and each graded-irreducible component J
@@ -43,19 +46,24 @@ from .star import StarResult, star
 def index_of_reducibility(I: Ideal) -> int:
     """Socle dimension over the residue field of the (certified maximal)
     radical: the minimal length of an irreducible decomposition."""
-    return artin.local_socle_dimension(I)
+    return artin.residue_socle_dimension(radical_maximal_certify(I))
 
 
 def graded_index(I: Ideal) -> int:
-    """Graded socle rank; for Laurent rings computed after setting the
-    unit variable to 1.  The unit ideal is refused: the zero ring has no
-    decomposition of 0, so it has no index."""
+    """Rank of the socle over the graded field.  Without invertible
+    variables the graded field is k and the rank is the socle dimension of
+    R/I.  With a Laurent unit R/I is typically not finite-dimensional over
+    k; the rank is then the index of the Artinian local quotient left by
+    setting every unit variable to 1.  The unit ideal is refused: the zero
+    ring has no decomposition of 0, so it has no index."""
     if not I.is_graded():
         raise NotGraded("graded index of a non-graded ideal")
     if I.contains(I.ring.one()):
         raise ScopeError("the graded index needs a proper ideal (R/I is zero)")
     try:
-        return artin.graded_socle_rank(I).rank
+        if I.ring.has_laurent:
+            return index_of_reducibility(artin.dehomogenize_units(I))
+        return len(artin.socle(artin.QuotientBasis(I)))
     except NotZeroDimensional as e:
         raise NotStarArtinian(str(e)) from None
 
@@ -135,7 +143,7 @@ def index_of_star_ideal(S: Ideal) -> int:
             continue  # zerodivisor: try the next candidate
         dehom = Ideal(S.ring, list(S.gens) + [ell - S.ring.one()])
         try:
-            return artin.local_socle_dimension(dehom)
+            return index_of_reducibility(dehom)
         except NotZeroDimensional:
             raise NotStarArtinian(
                 "quotient by the star ideal is not *Artinian (dehomogenization "
@@ -144,11 +152,6 @@ def index_of_star_ideal(S: Ideal) -> int:
     raise NoNonzerodivisorFound(
         "no homogeneous nonzerodivisor found for the star ideal"
     )
-
-
-def index_of_star(I: Ideal, precomputed: StarResult | None = None) -> int:
-    st = precomputed or star(I)
-    return index_of_star_ideal(st.ideal)
 
 
 @dataclass

@@ -1,25 +1,23 @@
-"""Artinian quotient structure: socles, type, Hilbert data, radicals."""
+"""Artinian quotient structure: socles, indices, Hilbert data, radicals."""
 
 import pytest
 
 from gradix.artin import (
+    QuotientBasis,
     certified_power_bound,
     dehomogenize_units,
-    graded_socle_rank,
     hilbert_function,
-    local_socle_dimension,
     minimal_polynomial,
-    quotient_basis,
     radical_maximal_certify,
     socle,
     socle_wrt,
-    type_of_quotient,
 )
 from gradix.errors import NotGraded, NotZeroDimensional
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal, ideal_equal, intersect
 from gradix.gxparser import parse_document, parse_poly
-from gradix.poly import RingSpec
+from gradix.poly import RingSpec, is_homogeneous
+from gradix.reduc import graded_index, index_of_reducibility
 
 R2 = RingSpec.make(QQ, ("x", "y"))
 R3 = RingSpec.make(QQ, ("x", "y", "z"))
@@ -34,7 +32,7 @@ def mnm_ideal(ring=R2):
 
 
 def test_quotient_basis_min_nonmonomial():
-    Q = quotient_basis(mnm_ideal())
+    Q = QuotientBasis(mnm_ideal())
     assert Q.dimension == 4
     assert Q.monomials == [(0, 0), (0, 1), (1, 0), (0, 2)]
     # multiplication matrices commute (exact)
@@ -53,94 +51,90 @@ def test_quotient_basis_min_nonmonomial():
 def test_certified_power_bound_of_a_deep_univariate_quotient():
     # the monomial walk is iterative: a chain of 1200 steps must not recurse
     R = RingSpec.make(GF(7), ("x",))
-    Q = quotient_basis(Ideal(R, [R.var("x") ** 1200]))
+    Q = QuotientBasis(Ideal(R, [R.var("x") ** 1200]))
     assert certified_power_bound(Q) == 1200
 
 
 def test_quotient_basis_errors():
-    assert quotient_basis(Ideal(R2, [P("x"), P("y")])).dimension == 1
+    assert QuotientBasis(Ideal(R2, [P("x"), P("y")])).dimension == 1
     with pytest.raises(NotZeroDimensional):
-        quotient_basis(Ideal(R2, [P("x")]))
+        QuotientBasis(Ideal(R2, [P("x")]))
+
+
+def socle_polys(Q):
+    return [Q.to_poly(v) for v in socle(Q)]
 
 
 def test_socle_min_nonmonomial():
-    data = socle(quotient_basis(mnm_ideal()))
-    assert data.dimension == 2
-    assert data.polynomials == [P("x+y"), P("y^2")]
-    assert all(data.homogeneous_flags)
-    assert data.degree_histogram == {1: 1, 2: 1}
+    polys = socle_polys(QuotientBasis(mnm_ideal()))
+    assert polys == [P("x+y"), P("y^2")]
+    assert all(is_homogeneous(p) for p in polys)
+    assert [p.total_degree() for p in polys] == [1, 2]
     # the second socle vector is the class of x^2 (x^2 = y^2 mod I)
     assert mnm_ideal().normal_form(P("x^2")) == P("y^2")
 
 
 def test_socle_square_of_maximal():
     I = Ideal(R2, [P("x^2"), P("x*y"), P("y^2")])
-    data = socle(quotient_basis(I))
-    assert data.dimension == 2
-    assert set(data.polynomials) == {P("x"), P("y")}
+    assert set(socle_polys(QuotientBasis(I))) == {P("x"), P("y")}
 
 
 def test_socle_univariate():
     R1 = RingSpec.make(QQ, ("x",))
     I = Ideal(R1, [parse_poly("x^2", R1)])
-    data = socle(quotient_basis(I))
-    assert data.dimension == 1
-    assert data.polynomials == [parse_poly("x", R1)]
+    assert socle_polys(QuotientBasis(I)) == [parse_poly("x", R1)]
 
 
-def test_graded_socle_rank_min_nonmonomial():
-    g = graded_socle_rank(quotient_basis(mnm_ideal()))
-    assert g.rank == 2
-    assert g.histogram == {1: 1, 2: 1}
+def test_graded_index_min_nonmonomial():
+    assert graded_index(mnm_ideal()) == 2
 
 
-def test_graded_socle_rank_x_cubed():
+def test_graded_index_x_cubed():
     R1 = RingSpec.make(QQ, ("x",))
-    g = graded_socle_rank(quotient_basis(Ideal(R1, [parse_poly("x^3", R1)])))
-    assert g.rank == 1
+    assert graded_index(Ideal(R1, [parse_poly("x^3", R1)])) == 1
 
 
-def test_graded_socle_rank_requires_graded():
+def test_graded_index_requires_graded():
     with pytest.raises(NotGraded):
-        graded_socle_rank(quotient_basis(Ideal(R2, [P("x^2-x-y"), P("x*y+x+y")])))
+        graded_index(Ideal(R2, [P("x^2-x-y"), P("x*y+x+y")]))
 
 
 def test_type_complete_intersection_gorenstein():
-    assert type_of_quotient(Ideal(R2, [P("x^2"), P("y^2")])) == 1
+    assert index_of_reducibility(Ideal(R2, [P("x^2"), P("y^2")])) == 1
 
 
 def test_type_square_of_maximal():
-    assert type_of_quotient(Ideal(R2, [P("x^2"), P("x*y"), P("y^2")])) == 2
+    assert index_of_reducibility(Ideal(R2, [P("x^2"), P("x*y"), P("y^2")])) == 2
 
 
 def test_type_j1_gorenstein():
     J1 = Ideal(R2, [P("x^2-x-y"), P("x*y+x+y")])
-    assert type_of_quotient(J1) == 1
+    assert index_of_reducibility(J1) == 1
 
 
 def test_hilbert_function_min_nonmonomial():
-    assert hilbert_function(quotient_basis(mnm_ideal())) == [(0, 1), (1, 2), (2, 1)]
+    assert hilbert_function(QuotientBasis(mnm_ideal())) == [(0, 1), (1, 2), (2, 1)]
 
 
 def test_hilbert_function_point():
-    assert hilbert_function(quotient_basis(Ideal(R2, [P("x"), P("y")]))) == [(0, 1)]
+    assert hilbert_function(QuotientBasis(Ideal(R2, [P("x"), P("y")]))) == [(0, 1)]
 
 
 def test_hilbert_function_sums_to_dimension():
     for gens in (["x^2", "y^3"], ["x^3", "x*y", "y^2"], ["x^2+x*y", "x^2-y^2", "y^3"]):
-        Q = quotient_basis(Ideal(R2, [P(g) for g in gens]))
+        Q = QuotientBasis(Ideal(R2, [P(g) for g in gens]))
         assert sum(v for _, v in hilbert_function(Q)) == Q.dimension
 
 
 def test_hilbert_function_component_intersection():
     L1 = Ideal(R2, [P("x+y"), P("y^3")])
     L2 = Ideal(R2, [P("y"), P("x^2")])
-    Q = quotient_basis(intersect(L1, L2))
+    Q = QuotientBasis(intersect(L1, L2))
     assert hilbert_function(Q) == [(0, 1), (1, 2), (2, 1)]
 
 
 def test_minimal_polynomial():
-    Q = quotient_basis(mnm_ideal())
+    Q = QuotientBasis(mnm_ideal())
     # x^2 = y^2, x^3 = x y^2 = -y^3 = 0 mod mnm_ideal: minimal polynomial x^3
     assert minimal_polynomial(Q, 0) == [0, 0, 0, 1]
 
@@ -189,7 +183,7 @@ def test_radical_gaussian_point_and_type():
     cert = radical_maximal_certify(M)
     assert cert.maximal and cert.residue_dimension == 2
     # the square has type 2: socle is M/M^2, free of rank 2 over the residue field
-    assert type_of_quotient(M.product(M)) == 2
+    assert index_of_reducibility(M.product(M)) == 2
 
 
 def test_radical_biquadratic_needs_primitive_search():
@@ -226,13 +220,13 @@ def test_radical_small_characteristic_power():
     assert cert.maximal and cert.irrelevant
 
 
-def test_local_socle_dimension_gaussian():
+def test_index_gaussian():
     M = Ideal(R2, [P("x^2+1"), P("y")])
     II = M.product(M)
     # dim_k socle = 4, residue degree 2, so the index is 2
-    assert local_socle_dimension(II) == 2
+    assert index_of_reducibility(II) == 2
     cert = radical_maximal_certify(II)
-    assert socle_wrt(quotient_basis(II), cert.radical.gens).dimension == 4
+    assert len(socle_wrt(QuotientBasis(II), cert.radical.gens)) == 4
 
 
 def test_laurent_dehomogenization_laurent_point_star():
@@ -241,17 +235,14 @@ def test_laurent_dehomogenization_laurent_point_star():
     )
     Istar = ideals["Istar"]
     assert Istar.is_graded()
-    g = graded_socle_rank(Istar)
     # after t -> 1 the quotient is k[x,y]/(x^2,y^2), Gorenstein
-    assert g.rank == 1
-    assert g.histogram is None
-    assert local_socle_dimension(dehomogenize_units(Istar)) == 1
+    assert graded_index(Istar) == 1
+    assert index_of_reducibility(dehomogenize_units(Istar)) == 1
 
 
-def test_graded_rank_matches_socle_dim_for_irrelevant_primary():
+def test_graded_index_matches_index_for_irrelevant_primary():
     # computational shadow of the graded/ungraded equivalence at the
     # irrelevant maximal ideal
     for gens in (["x^2", "y^3"], ["x^2", "x*y", "y^4"], ["x^3", "y^2", "x^2*y"]):
         I = Ideal(R2, [P(g) for g in gens])
-        Q = quotient_basis(I)
-        assert graded_socle_rank(Q).rank == socle(Q).dimension
+        assert graded_index(I) == index_of_reducibility(I) == len(socle(QuotientBasis(I)))

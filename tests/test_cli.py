@@ -231,6 +231,12 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert via_env["result"]["seed"] == 7
 
 
+def test_seed_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("GRADIX_SEED", "abc")
+    assert main(["verify-thm", "--count", "2"]) == 1
+    assert capsys.readouterr().err == "error: GRADIX_SEED needs an integer (got 'abc')\n"
+
+
 def test_eliminate_command(capsys):
     code = main(
         ["eliminate", "-i", fx("min_nonmonomial.gx"), "--ideal", "I", "--vars", "x", "--json"]

@@ -7,41 +7,45 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradix.errors import CharacteristicForbidden, GradixError
-from gradix.fields import GF, QQ, char_guard, field_add, field_mul, field_mul_inv
+from gradix.fields import GF, QQ, char_guard
 
 
 def test_rational_add():
-    assert field_add(QQ, Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert QQ.add(QQ.validate(Fraction(1, 2)), QQ.validate(Fraction(1, 3))) == Fraction(5, 6)
 
 
 def test_gf3_add_wraps():
     F = GF(3)
-    assert field_add(F, 2, 2) == 1
+    assert F.add(F.validate(2), F.validate(2)) == 1
 
 
 def test_add_identity():
-    assert field_add(QQ, Fraction(7, 3), 0) == Fraction(7, 3)
-    assert field_add(GF(5), 4, 0) == 4
+    assert QQ.add(QQ.validate(Fraction(7, 3)), QQ.validate(0)) == Fraction(7, 3)
+    F = GF(5)
+    assert F.add(F.validate(4), F.validate(0)) == 4
 
 
 def test_inverse_rational():
-    assert field_mul_inv(QQ, Fraction(2, 3)) == Fraction(3, 2)
+    assert QQ.inv(QQ.validate(Fraction(2, 3))) == Fraction(3, 2)
 
 
 def test_inverse_gf5():
-    assert field_mul_inv(GF(5), 2) == 3
+    F = GF(5)
+    assert F.inv(F.validate(2)) == 3
 
 
 def test_inverse_one():
-    assert field_mul_inv(QQ, 1) == 1
-    assert field_mul_inv(GF(7), 1) == 1
+    assert QQ.inv(QQ.validate(1)) == 1
+    F = GF(7)
+    assert F.inv(F.validate(1)) == 1
 
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        field_mul_inv(QQ, 0)
+        QQ.inv(QQ.validate(0))
+    F = GF(3)
     with pytest.raises(ZeroDivisionError):
-        field_mul_inv(GF(3), 0)
+        F.inv(F.validate(0))
 
 
 def test_char_guard():
@@ -67,25 +71,24 @@ rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10
 
 @given(rationals, rationals, rationals)
 def test_rational_field_axioms(a, b, c):
-    assert field_add(QQ, field_add(QQ, a, b), c) == field_add(QQ, a, field_add(QQ, b, c))
-    assert field_mul(QQ, a, field_add(QQ, b, c)) == field_add(
-        QQ, field_mul(QQ, a, b), field_mul(QQ, a, c)
-    )
+    F = QQ
+    a, b, c = F.validate(a), F.validate(b), F.validate(c)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     if a != 0:
-        assert field_mul(QQ, a, field_mul_inv(QQ, a)) == 1
+        assert F.mul(a, F.inv(a)) == 1
 
 
 @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
 def test_gf31_field_axioms(a, b, c):
     F = GF(31)
-    assert field_add(F, field_add(F, a, b), c) == field_add(F, a, field_add(F, b, c))
-    assert field_mul(F, a, field_add(F, b, c)) == field_add(
-        F, field_mul(F, a, b), field_mul(F, a, c)
-    )
+    a, b, c = F.validate(a), F.validate(b), F.validate(c)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     if a % 31:
-        assert field_mul(F, a, field_mul_inv(F, a)) == 1
+        assert F.mul(a, F.inv(a)) == 1
 
 
 def test_no_overflow_on_huge_rationals():
-    big = Fraction(10**80 + 1, 10**79)
-    assert field_mul(QQ, big, field_mul_inv(QQ, big)) == 1
+    big = QQ.validate(Fraction(10**80 + 1, 10**79))
+    assert QQ.mul(big, QQ.inv(big)) == 1

@@ -11,11 +11,12 @@ from gradix.groebner import Ideal, ideal_equal
 from gradix.invsys import decompose
 from gradix.gxparser import parse_document, parse_poly
 from gradix.poly import RingSpec
+from gradix.star import star
 from gradix.reduc import (
     compare_star,
     graded_index,
     index_of_reducibility,
-    index_of_star,
+    index_of_star_ideal,
     is_graded_irreducible,
     is_irreducible,
     local_min_generators,
@@ -134,7 +135,7 @@ def test_decompose_irreducible_case():
 
 def test_index_of_star_star_gap_b():
     I, Istar = star_gap(2)
-    assert index_of_star(I) == 3
+    assert index_of_star_ideal(star(I).ideal) == 3
 
 
 def test_index_of_star_star_gap_a_true_value():
@@ -143,12 +144,12 @@ def test_index_of_star_star_gap_a_true_value():
     # largest graded subideal is itself, with index 3 (not the printed 1)
     I, _ = star_gap(1)
     assert I.is_graded()
-    assert index_of_star(I) == 3
+    assert index_of_star_ideal(star(I).ideal) == 3
 
 
 def test_index_of_star_laurent_point():
     _, I = laurent_point_doc()
-    assert index_of_star(I) == 1
+    assert index_of_star_ideal(star(I).ideal) == 1
 
 
 def test_compare_star_star_gap_b():
@@ -197,7 +198,6 @@ def test_local_min_generators_gaussian_residue():
 def test_index_of_star_nonzerodivisor_independence():
     # two different certified homogeneous nonzerodivisors give the same
     # dehomogenized index
-    from gradix.artin import local_socle_dimension
     from gradix.groebner import quotient as colon
     from gradix.star import star_lambda
 
@@ -208,8 +208,8 @@ def test_index_of_star_nonzerodivisor_independence():
         ell = parse_poly(ell_text, ring)
         assert ideal_equal(colon(S, ell), S)  # certified nonzerodivisor
         dehom = Ideal(ring, list(S.gens) + [ell - ring.one()])
-        results.append(local_socle_dimension(dehom))
-    assert results[0] == results[1] == index_of_star(I)
+        results.append(index_of_reducibility(dehom))
+    assert results[0] == results[1] == index_of_star_ideal(star(I).ideal)
 
 
 def test_verify_equivalence_min_nonmonomial():

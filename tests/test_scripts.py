@@ -4,7 +4,7 @@ import importlib.util
 import os
 import sys
 
-from gradix.errors import TheoremContradiction
+from gradix.errors import ScopeError, TheoremContradiction
 from gradix.reduc import EquivalenceReport
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -67,3 +67,15 @@ def test_star_comparison_experiment_exits_1_on_a_contradiction(monkeypatch, caps
     assert script.main() == 1
     out = capsys.readouterr().out
     assert "CONTRADICTION" in out and "ideal: " in out
+
+
+def test_star_comparison_experiment_exits_1_when_every_draw_is_refused(monkeypatch, capsys):
+    script = load("star_comparison_experiment")
+
+    def refusing(I):
+        raise ScopeError("planted")
+
+    monkeypatch.setattr(script, "compare_star", refusing)
+    monkeypatch.setattr(sys, "argv", ["star_comparison_experiment.py", "--count", "2"])
+    assert script.main() == 1
+    assert "gave up: 0 of 2 rows after 200 draws" in capsys.readouterr().out
