@@ -144,28 +144,31 @@ class QuotientBasis:
         return Polynomial(self.ring, terms, _normalized=True)
 
     def apply_var(self, i: int, vec: list) -> list:
-        field = self.ring.field
-        out = [field.zero()] * self.dimension
+        """Coordinates of x_i times vec: plain sums of products, reduced
+        once per entry over GF(p)."""
+        out = [self.ring.field.zero()] * self.dimension
         cols = self.columns[i]
         for j, c in enumerate(vec):
-            if field.is_zero(c):
-                continue
-            for r, a in cols[j].items():
-                out[r] = field.add(out[r], field.mul(a, c))
-        return out
+            if c:
+                for r, a in cols[j].items():
+                    out[r] += a * c
+        p = self.ring.field.characteristic
+        return [x % p for x in out] if p else out
 
     def apply_var_transpose(self, i: int, vec: list) -> list:
         """The transpose of `apply_var`: contraction by the i-th variable
         on dual coordinates."""
-        field = self.ring.field
+        zero = self.ring.field.zero()
         out = []
         for col in self.columns[i]:
-            acc = field.zero()
+            acc = zero
             for r, a in col.items():
-                if not field.is_zero(vec[r]):
-                    acc = field.add(acc, field.mul(a, vec[r]))
+                c = vec[r]
+                if c:
+                    acc += a * c
             out.append(acc)
-        return out
+        p = self.ring.field.characteristic
+        return [x % p for x in out] if p else out
 
     def _apply_terms(self, terms, vec: list) -> list:
         """Coordinates of (sum of c * x^m over terms) times vec; every

@@ -6,11 +6,20 @@ Pair management follows the classical update procedure (coprime-lcm and
 chain criteria applied on insertion), with the normal selection strategy
 (smallest lcm first) and deterministic index tie-breaks, so output bases
 are reproducible across runs.
+
+Reduction is complete reduction by a list of prepared reducers (leading
+monomial, 1/lc, tail).  `_reduce_full` takes the largest remaining term
+from a heap keyed by the order's `desc_key`, computed once per monomial
+as it enters the work dict, and reduces it by the first reducer whose
+leading monomial divides it.  `buchberger` prepares each element once,
+when it joins the basis, and builds every reducer list and S-polynomial
+from that store.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
 
@@ -49,22 +58,29 @@ def _clear_content(f: Polynomial) -> Polynomial:
 
 def _prepare(basis, order):
     """Precompute (leading monomial, 1/lc, tail items) for a reducer list."""
-    field = basis[0].ring.field if basis else None
-    out = []
-    for g in basis:
-        lt, lc = g.leading(order)
-        tail = [(m, c) for m, c in g.terms.items() if m != lt]
-        out.append((lt, field.inv(lc), tail))
-    return out
+    return [_prepare_one(g, order) for g in basis]
+
+
+def _prepare_one(g: Polynomial, order) -> tuple:
+    lt, lc = g.leading(order)
+    tail = [(m, c) for m, c in g.terms.items() if m != lt]
+    return lt, g.ring.field.inv(lc), tail
 
 
 def _reduce_full(terms: dict, prepared, order, field) -> dict:
-    """Complete reduction: no term of the result is divisible by any reducer LT."""
+    """Complete reduction: no term of the result is divisible by any reducer
+    LT.  Terms are taken largest first from a heap of descending order keys,
+    each key computed once when its monomial enters `work`; a popped
+    monomial that has since cancelled out of `work` is skipped."""
     result: dict = {}
     work = dict(terms)
-    key = order.key
-    while work:
-        m = max(work, key=key)
+    desc_key = order.desc_key
+    heap = [(desc_key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        if m not in work:
+            continue
         c = work.pop(m)
         hit = None
         for ltm, inv_lc, tail in prepared:
@@ -89,16 +105,21 @@ def _reduce_full(terms: dict, prepared, order, field) -> dict:
                     work[mm] = val
             else:
                 work[mm] = field.neg(sub)
+                heappush(heap, (desc_key(mm), mm))
     return result
 
 
-def _spoly_terms(f: Polynomial, g: Polynomial, order, field) -> dict:
-    ltf, lcf = f.leading(order)
-    ltg, lcg = g.leading(order)
-    lcm = mono_lcm(ltf, ltg)
-    a = f.mono_shift(mono_div(lcm, ltf), field.inv(lcf))
-    b = g.mono_shift(mono_div(lcm, ltg), field.inv(lcg))
-    return (a - b).terms
+def _spoly_terms(pf: tuple, pg: tuple, ring: RingSpec) -> dict:
+    """S-polynomial of two prepared elements: their monic leading terms
+    cancel at the lcm, so only the shifted tails are formed."""
+    field = ring.field
+    lcm = mono_lcm(pf[0], pg[0])
+    shifted = []
+    for lt, inv, tail in (pf, pg):
+        q = mono_div(lcm, lt)
+        terms = {mono_mul(m, q): field.mul(c, inv) for m, c in tail}
+        shifted.append(Polynomial(ring, terms, _normalized=True))
+    return (shifted[0] - shifted[1]).terms
 
 
 def _update(G: list, B: list, ih: int, lts: list):
@@ -140,6 +161,7 @@ def buchberger(gens, order, ring: RingSpec) -> list[Polynomial]:
     monomial.  The zero ideal yields the empty list."""
     field = ring.field
     polys: list[Polynomial] = []
+    prepped: list[tuple] = []  # (lead, 1/lc, tail) of each element of polys
     lts: list[tuple] = []
     G: list[int] = []
     B: list[tuple] = []
@@ -148,26 +170,33 @@ def buchberger(gens, order, ring: RingSpec) -> list[Polynomial]:
         nonlocal G, B
         h = _clear_content(Polynomial(ring, h_terms, _normalized=True))
         polys.append(h)
-        lts.append(h.leading(order)[0])
+        prepped.append(_prepare_one(h, order))
+        lts.append(prepped[-1][0])
         G, B = _update(G, B, len(polys) - 1, lts)
 
     for g in gens:
         if g.is_zero():
             continue
-        prepared = _prepare([polys[i] for i in G], order)
-        h = _reduce_full(g.terms, prepared, order, field)
+        h = _reduce_full(g.terms, [prepped[i] for i in G], order, field)
         if h:
             insert(h)
 
+    key = order.key
+    selection: dict = {}  # pair -> (order key of its lcm, pair), computed once
+
+    def selection_key(pr):
+        k = selection.get(pr)
+        if k is None:
+            k = selection[pr] = (key(mono_lcm(lts[pr[0]], lts[pr[1]])), pr)
+        return k
+
     while B:
-        key = order.key
-        i, j = min(B, key=lambda pr: (key(mono_lcm(lts[pr[0]], lts[pr[1]])), pr))
+        i, j = min(B, key=selection_key)
         B.remove((i, j))
-        s = _spoly_terms(polys[i], polys[j], order, field)
+        s = _spoly_terms(prepped[i], prepped[j], ring)
         if not s:
             continue
-        prepared = _prepare([polys[g] for g in G], order)
-        h = _reduce_full(s, prepared, order, field)
+        h = _reduce_full(s, [prepped[g] for g in G], order, field)
         if h:
             insert(h)
 
@@ -180,10 +209,9 @@ def buchberger(gens, order, ring: RingSpec) -> list[Polynomial]:
     # tail-reduce each against the others, then make monic
     reduced: list[Polynomial] = []
     for pos, i in enumerate(minimal):
-        others = [polys[j] for j in minimal if j != i]
+        others = [prepped[j] for j in minimal if j != i]
         if others:
-            prepared = _prepare(others, order)
-            terms = _reduce_full(polys[i].terms, prepared, order, field)
+            terms = _reduce_full(polys[i].terms, others, order, field)
         else:
             terms = polys[i].terms
         reduced.append(Polynomial(ring, terms, _normalized=True).monic(order))

@@ -45,6 +45,10 @@ def mono_coprime(u: tuple, v: tuple) -> bool:
 
 # ---------------------------------------------------------------------------
 # monomial orders
+#
+# `key(m)` sorts ascending in the order.  `desc_key(m)` is a flat tuple of
+# ints that sorts descending (every component of `key` negated), so a
+# min-heap of desc keys pops the largest monomial first.
 
 
 class GrevLex:
@@ -60,6 +64,9 @@ class GrevLex:
     def key(self, m: tuple):
         return (sum(m), tuple(-e for e in reversed(m)))
 
+    def desc_key(self, m: tuple):
+        return (-sum(m), *reversed(m))
+
 
 class Lex:
     name = "lex"
@@ -70,6 +77,9 @@ class Lex:
 
     def key(self, m: tuple):
         return m
+
+    def desc_key(self, m: tuple):
+        return tuple(-e for e in m)
 
 
 class BlockElim:
@@ -87,6 +97,8 @@ class BlockElim:
         self.block = tuple(sorted(block))
         rest = tuple(i for i in range(nvars) if i not in set(self.block))
         self._rest = rest
+        self._block_desc = self.block[::-1]
+        self._rest_desc = rest[::-1]
         self.cache_key = ("block", self.block)
 
     def key(self, m: tuple):
@@ -96,6 +108,11 @@ class BlockElim:
             (sum(head), tuple(-e for e in reversed(head))),
             (sum(tail), tuple(-e for e in reversed(tail))),
         )
+
+    def desc_key(self, m: tuple):
+        head = [m[i] for i in self._block_desc]
+        tail = [m[i] for i in self._rest_desc]
+        return (-sum(head), *head, -sum(tail), *tail)
 
 
 def compare_monomials(u: tuple, v: tuple, order) -> int:

@@ -3,12 +3,141 @@
 These deliberately avoid the production code paths: a criteria-free
 textbook Buchberger loop, a leading-term-only division loop, and graded
 dimension counts by plain rank computations.  Slow and simple on purpose.
+The two exact inner loops of the program keep their former, rescanning
+forms here as references: `ref_reduce_full` (complete reduction that
+finds each next term by a max scan) and `RefSpan` (dense reduced echelon
+form through the field's methods, one call per entry).
 """
 
 from itertools import combinations, product
 
-from gradix.linalg import kernel_basis, matvec, span_of
-from gradix.poly import Polynomial, mono_div, mono_divides, mono_lcm
+from gradix.linalg import matvec
+from gradix.poly import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
+
+
+def ref_reduce_full(terms, prepared, order, field):
+    """Complete reduction of a term dict by a list of (leading monomial,
+    1/lc, tail items) reducers: the largest remaining term, found by a max
+    scan over the work dict, is reduced by the first reducer whose leading
+    monomial divides it."""
+    result = {}
+    work = dict(terms)
+    key = order.key
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        hit = None
+        for ltm, inv_lc, tail in prepared:
+            if mono_divides(ltm, m):
+                hit = (ltm, inv_lc, tail)
+                break
+        if hit is None:
+            result[m] = c
+            continue
+        ltm, inv_lc, tail = hit
+        q = mono_div(m, ltm)
+        factor = field.mul(c, inv_lc)
+        for tm, tc in tail:
+            mm = mono_mul(tm, q)
+            sub = field.mul(factor, tc)
+            if mm in work:
+                val = field.sub(work[mm], sub)
+                if field.is_zero(val):
+                    del work[mm]
+                else:
+                    work[mm] = val
+            else:
+                work[mm] = field.neg(sub)
+    return result
+
+
+class RefSpan:
+    """Incrementally maintained row space in reduced echelon form: rows
+    keyed by pivot column, each with pivot 1 and reduced against the
+    others, every entry through the field's methods."""
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self.rows = {}
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        f = self.field
+        v = list(vec)
+        for p in sorted(self.rows):
+            c = v[p]
+            if not f.is_zero(c):
+                row = self.rows[p]
+                for i in range(p, self.n):
+                    v[i] = f.sub(v[i], f.mul(c, row[i]))
+        return v
+
+    def contains(self, vec):
+        f = self.field
+        return all(f.is_zero(c) for c in self.reduce(vec))
+
+    def add(self, vec):
+        f = self.field
+        v = self.reduce(vec)
+        pivot = next((i for i in range(self.n) if not f.is_zero(v[i])), None)
+        if pivot is None:
+            return False
+        inv = f.inv(v[pivot])
+        v = [f.mul(c, inv) for c in v]
+        for p, row in self.rows.items():
+            c = row[pivot]
+            if not f.is_zero(c):
+                self.rows[p] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
+        self.rows[pivot] = v
+        return True
+
+    def copy(self):
+        out = RefSpan(self.field, self.n)
+        out.rows = dict(self.rows)
+        return out
+
+    def membership_rows(self):
+        f = self.field
+        out = []
+        for r in range(self.n):
+            if r in self.rows:
+                continue
+            cond = [f.zero()] * self.n
+            cond[r] = f.one()
+            for p, row in self.rows.items():
+                cond[p] = f.neg(row[r])
+            out.append(cond)
+        return out
+
+    def key(self):
+        return tuple(tuple(self.rows[p]) for p in sorted(self.rows))
+
+
+def ref_span_of(field, n, vectors):
+    s = RefSpan(field, n)
+    for v in vectors:
+        s.add(v)
+    return s
+
+
+def ref_kernel_basis(field, rows, ncols):
+    """Basis of {v : M v = 0}: one vector per free column of the RREF."""
+    span = ref_span_of(field, ncols, rows)
+    pivots = sorted(span.rows)
+    basis = []
+    for j in range(ncols):
+        if j in span.rows:
+            continue
+        v = [field.zero()] * ncols
+        v[j] = field.one()
+        for p in pivots:
+            v[p] = field.neg(span.rows[p][j])
+        basis.append(v)
+    return basis
 
 
 def naive_nf(f, basis, order):
@@ -112,7 +241,7 @@ def graded_quotient_dims(gens, ring, max_degree):
                 for mm, c in prod.terms.items():
                     row[index[mm]] = c
                 rows.append(row)
-        rk = span_of(ring.field, len(monos), rows).dim
+        rk = ref_span_of(ring.field, len(monos), rows).dim
         dims.append(len(monos) - rk)
     return dims
 
@@ -162,13 +291,13 @@ def ref_element_power(Q, vec, e, basis):
 def ref_minimal_polynomial(Q, vec, basis):
     """Monic minimal polynomial (ascending coefficients) of vec: the first
     k at which 1, vec, ..., vec^k (each from `ref_element_power`) are
-    linearly dependent, and the dependency from `kernel_basis`."""
+    linearly dependent, and the dependency from `ref_kernel_basis`."""
     field = Q.ring.field
     powers = []
     for k in range(Q.dimension + 1):
         powers.append(ref_element_power(Q, vec, k, basis))
         rows = [[p[r] for p in powers] for r in range(Q.dimension)]
-        kernel = kernel_basis(field, rows, k + 1)
+        kernel = ref_kernel_basis(field, rows, k + 1)
         if kernel:
             (dep,) = kernel
             inv = field.inv(dep[k])
@@ -256,7 +385,7 @@ def ref_ideal_keys(A):
     degree_set = sorted(set(Q.degrees))
     masks = {d: [i for i, dd in enumerate(Q.degrees) if dd == d] for d in degree_set}
     for key in _all_rref(field, n):
-        span = span_of(field, n, [list(row) for row in key])
+        span = ref_span_of(field, n, [list(row) for row in key])
         closed = all(
             span.contains(matvec(field, M, row)) for row in key for M in matrices
         )

@@ -3,11 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradix.errors import RingMismatch
 from gradix.fields import GF, QQ
 from gradix.groebner import (
     Ideal,
+    _prepare,
+    _reduce_full,
+    buchberger,
     divide_exact,
     eliminate,
     ideal_equal,
@@ -17,11 +22,14 @@ from gradix.groebner import (
     standard_monomials,
 )
 from gradix.gxparser import parse_document, parse_poly
-from gradix.poly import RingSpec, substitute
+from gradix.poly import BlockElim, GrevLex, Lex, Polynomial, RingSpec, substitute
 
 from oracles import (
     graded_quotient_dims,
     in_ideal_oracle,
+    naive_groebner,
+    naive_nf,
+    ref_reduce_full,
     same_ideal_oracle,
     spoly_certificate,
 )
@@ -267,3 +275,85 @@ def test_laurent_zero_dimensional_quotient():
     sm = standard_monomials(ideals["I"])
     assert sm is not None
     assert len(sm) == 2  # R/I is k[x]/(x^2)
+
+
+# ---------------------------------------------------------------------------
+# differential: the heap-ordered `_reduce_full` against the max-scan
+# reference, and `buchberger` against the criteria-free textbook loop
+
+ORDER_FIELDS = [GF(2), GF(7), QQ]
+
+
+def _orders(n):
+    return [GrevLex(n), Lex(n), BlockElim(n, (0,)), BlockElim(n, (n - 1, 0))]
+
+
+@st.composite
+def _polys(draw, ring, max_terms=4, max_exp=2):
+    field = ring.field
+    n = ring.npres
+    if field.characteristic:
+        coef = st.integers(1, field.characteristic - 1)
+    else:
+        coef = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, max_exp)] * n), coef, min_size=1, max_size=max_terms
+        )
+    )
+    return Polynomial(ring, terms)
+
+
+@st.composite
+def reduction_cases(draw):
+    """A field, an order, a reducer list that need not be a Groebner basis
+    (any polynomials, in any order, repeats allowed) and terms to reduce."""
+    field = draw(st.sampled_from(ORDER_FIELDS))
+    n = draw(st.integers(2, 3))
+    ring = RingSpec.make(field, ("x", "y", "z")[:n])
+    order = draw(st.sampled_from(_orders(n)))
+    reducers = draw(st.lists(_polys(ring), min_size=0, max_size=4))
+    f = draw(_polys(ring, max_terms=6, max_exp=4))
+    return order, field, _prepare(reducers, order), f.terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_cases())
+def test_reduce_full_matches_the_max_scan_reference(case):
+    order, field, prepared, terms = case
+    got = _reduce_full(terms, prepared, order, field)
+    want = ref_reduce_full(terms, prepared, order, field)
+    # same terms, same coefficients, same (descending) order of the terms
+    assert list(got.items()) == list(want.items())
+
+
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_desc_key_reverses_key(n, data):
+    mono = st.tuples(*[st.integers(0, 4)] * n)
+    u, v = data.draw(mono), data.draw(mono)
+    for order in _orders(n):
+        assert (order.key(u) < order.key(v)) == (order.desc_key(u) > order.desc_key(v))
+        assert (u == v) == (order.desc_key(u) == order.desc_key(v))
+
+
+def _reduced_from(basis, order):
+    """The reduced Groebner basis read off any Groebner basis: keep one
+    element per minimal leading monomial, reduce each against the rest
+    with `naive_nf`, make monic, sort by leading monomial."""
+    minimal = []
+    for g in sorted(basis, key=lambda g: order.key(g.leading(order)[0])):
+        lt = g.leading(order)[0]
+        if not any(all(a <= b for a, b in zip(h.leading(order)[0], lt)) for h in minimal):
+            minimal.append(g.monic(order))
+    return [naive_nf(g, [h for h in minimal if h is not g], order).monic(order) for g in minimal]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_buchberger_matches_the_naive_groebner_loop(data):
+    field = data.draw(st.sampled_from(ORDER_FIELDS))
+    n = data.draw(st.integers(2, 3))
+    ring = RingSpec.make(field, ("x", "y", "z")[:n])
+    order = data.draw(st.sampled_from(_orders(n)))
+    gens = data.draw(st.lists(_polys(ring, max_terms=3), min_size=1, max_size=3))
+    assert buchberger(gens, order, ring) == _reduced_from(naive_groebner(gens, order), order)
