@@ -92,9 +92,6 @@ class Rationals:
             return a
         raise FieldMismatch(f"{a!r} is not a rational element")
 
-    def random(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
     def __str__(self):
         return "QQ"
 
@@ -151,9 +148,6 @@ class PrimeField:
         if isinstance(a, Fraction) and a.denominator == 1:
             return a.numerator % self.characteristic
         raise FieldMismatch(f"{a!r} is not a GF({self.characteristic}) element")
-
-    def random(self, rng):
-        return rng.randrange(self.characteristic)
 
     def __str__(self):
         return f"GF({self.characteristic})"

@@ -4,12 +4,13 @@ the induced irreducible (and graded-irreducible) decompositions.
 
 The dual space of R/I is spanned by one dual polynomial F_s per standard
 monomial s, with coefficient of X^m in F_s equal to the s-coordinate of
-the normal form of m.  In those coordinates the contraction action of a
-variable is the transpose of its multiplication matrix, so generator
-extraction, annihilators, intersection and irredundancy checks are all
-plain linear algebra in dimension len(R/I).  Only the dual generators as
-polynomials (`InverseSystem.generators`) need monomial enumeration; they
-are built when first read, and `decompose` never reads them.
+the normal form of m.  The module works in those coordinates only: the
+contraction action of a variable is the transpose of its multiplication
+matrix, so generator extraction, annihilators (each component is the
+annihilator of one generator, a kernel in R/I), intersection and
+irredundancy checks are all plain linear algebra in dimension len(R/I),
+and no dual polynomial is ever built.  The dual polynomials themselves
+are an independent reference in `tests/oracles.py`.
 
 `decompose` takes each socle once: socle(R/I) certifies the generator
 count, so its dimension is r (and r_graded when I is graded), and
@@ -20,15 +21,8 @@ socle(R/J) of each component J, in R/J built from J/I
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
-from .artin import (
-    QuotientBasis,
-    RadicalCertificate,
-    _monomials_of_total_degree as _monomials_of_degree,
-    certified_power_bound,
-    socle,
-)
+from .artin import QuotientBasis, RadicalCertificate, socle
 from .errors import (
     GradixError,
     NotGraded,
@@ -36,89 +30,10 @@ from .errors import (
     NotPositivelyGraded,
     ScopeError,
 )
-from .groebner import Ideal, ideal_equal, intersect, intersect_many
+from .groebner import Ideal, ideal_equal, intersect_many
 from .linalg import Span, kernel_basis, span_of
-from .poly import Polynomial, mono_divides
 from . import artin
 from .overideal import closure, over_ideal_certificate
-
-
-class NotMonomial(ScopeError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# dual polynomials
-
-
-class DualPoly:
-    """Polynomial in the dual variables, paired with the ring by
-    contraction: x^e acting on X^a gives X^(a-e) when a >= e, else 0."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms: dict):
-        self.ring = ring
-        fz = ring.field.is_zero
-        self.terms = {m: c for m, c in terms.items() if not fz(c)}
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=None)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-    def dual_names(self):
-        names = []
-        for n in self.ring.pres_names:
-            up = n.upper()
-            names.append(up if up != n else "D" + n)
-        return names
-
-    def __repr__(self):
-        if not self.terms:
-            return "<dual 0>"
-        names = self.dual_names()
-        parts = []
-        for m, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
-            factors = [
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(m)
-                if e
-            ]
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"{c}*{body}" if factors else str(c))
-        return "<dual " + "+".join(parts) + ">"
-
-
-def contract(g: Polynomial, F: DualPoly) -> DualPoly:
-    """g acting on F by contraction."""
-    field = g.ring.field
-    out: dict = {}
-    for a, fc in F.terms.items():
-        for e, gc in g.terms.items():
-            if mono_divides(e, a):
-                b = tuple(x - y for x, y in zip(a, e))
-                c = field.mul(gc, fc)
-                if b in out:
-                    s = field.add(out[b], c)
-                    if field.is_zero(s):
-                        del out[b]
-                    else:
-                        out[b] = s
-                else:
-                    out[b] = c
-    return DualPoly(g.ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +45,6 @@ class InverseSystem:
     ideal: Ideal
     generator_coords: list  # minimal generators under contraction, in the F_s basis
     certificate: RadicalCertificate  # owns R/I
-
-    @cached_property
-    def generators(self) -> list:
-        """The generators as DualPolys, cut off at the certified power bound."""
-        Q = self.certificate.quotient
-        bound = certified_power_bound(Q)
-        return [_dual_poly_from_coords(Q, c, bound) for c in self.generator_coords]
-
-    @property
-    def generator_count(self) -> int:
-        return len(self.generator_coords)
 
 
 def _require_irrelevant_primary(I: Ideal) -> RadicalCertificate:
@@ -184,24 +88,6 @@ def _minimal_generator_coords(Q: QuotientBasis) -> list[list]:
     return coords
 
 
-def _dual_poly_from_coords(Q: QuotientBasis, coords, bound: int) -> DualPoly:
-    """F = sum over monomials m of <NF(m), coords> X^m, cut off at the
-    certified power bound."""
-    field = Q.ring.field
-    terms: dict = {}
-    n = Q.ring.npres
-    for d in range(bound):
-        for m in _monomials_of_degree(n, d):
-            v = Q.nf_monomial(m)
-            acc = field.zero()
-            for a, b in zip(v, coords):
-                if not field.is_zero(a) and not field.is_zero(b):
-                    acc = field.add(acc, field.mul(a, b))
-            if not field.is_zero(acc):
-                terms[m] = acc
-    return DualPoly(Q.ring, terms)
-
-
 def inverse_system(I: Ideal) -> InverseSystem:
     """Minimal contraction generators of the dual module of R/I."""
     cert = _require_irrelevant_primary(I)
@@ -215,39 +101,6 @@ def inverse_system(I: Ideal) -> InverseSystem:
             f"internal: {len(coords)} dual generators vs socle dimension {sd}"
         )
     return InverseSystem(I, coords, cert)
-
-
-# ---------------------------------------------------------------------------
-# annihilators
-
-
-def annihilator(F: DualPoly, ring) -> Ideal:
-    """Ann(F) = {g : g o F = 0}: a (variables)-primary irreducible ideal,
-    certified by a socle-dimension-1 post-check."""
-    if F.is_zero():
-        raise GradixError("annihilator of the zero dual element")
-    d = F.degree()
-    n = ring.npres
-    field = ring.field
-    monos = [m for deg in range(d + 1) for m in _monomials_of_degree(n, deg)]
-    index = {m: i for i, m in enumerate(monos)}
-    # rows indexed by target dual monomials b: sum_e g_e F_{b+e} = 0
-    rows: dict[tuple, list] = {}
-    for i, e in enumerate(monos):
-        for a, fc in F.terms.items():
-            if mono_divides(e, a):
-                b = tuple(x - y for x, y in zip(a, e))
-                rows.setdefault(b, [field.zero()] * len(monos))[i] = fc
-    kern = kernel_basis(field, list(rows.values()), len(monos))
-    gens = []
-    for v in kern:
-        terms = {monos[i]: c for i, c in enumerate(v) if not field.is_zero(c)}
-        gens.append(Polynomial(ring, terms, _normalized=True))
-    gens.extend(ring.monomial(m) for m in _monomials_of_degree(n, d + 1))
-    ideal = Ideal(ring, gens)
-    if len(socle(QuotientBasis(ideal))) != 1:
-        raise GradixError("internal: annihilator failed the irreducibility certificate")
-    return Ideal(ring, list(ideal.groebner_basis()))
 
 
 def _component_kernels(inv: InverseSystem) -> list[list[list]]:
@@ -369,32 +222,3 @@ def verify_decomposition(I: Ideal, parts) -> VerifyResult:
                 irred = False
                 break
     return VerifyResult(True, irred, certs)
-
-
-# ---------------------------------------------------------------------------
-# monomial splitting
-
-
-def monomial_split(I: Ideal):
-    """If a minimal monomial generator factors into coprime non-unit
-    monomials m, m', return (I + (m), I + (m')) with the intersection
-    verified equal to I; None when no mixed generator exists."""
-    ring = I.ring
-    for g in I.gens:
-        if len(g.terms) != 1:
-            raise NotMonomial("monomial splitting needs a monomial ideal")
-    basis = I.groebner_basis()  # minimal monomial generators
-    for g in basis:
-        (mono, _), = g.terms.items()
-        support = [i for i, e in enumerate(mono) if e]
-        if len(support) < 2:
-            continue
-        i = support[0]
-        m1 = tuple(e if k == i else 0 for k, e in enumerate(mono))
-        m2 = tuple(0 if k == i else e for k, e in enumerate(mono))
-        A = Ideal(ring, list(I.gens) + [ring.monomial(m1)])
-        B = Ideal(ring, list(I.gens) + [ring.monomial(m2)])
-        if not ideal_equal(intersect(A, B), I):
-            raise GradixError("internal: monomial split failed verification")
-        return A, B
-    return None

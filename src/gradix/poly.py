@@ -115,16 +115,6 @@ class BlockElim:
         return (-sum(head), *head, -sum(tail), *tail)
 
 
-def compare_monomials(u: tuple, v: tuple, order) -> int:
-    """-1, 0, or 1 as u <, =, > v in the given order."""
-    ku, kv = order.key(u), order.key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # rings
 
@@ -409,9 +399,6 @@ class Polynomial:
             return None
         return max(sum(m) for m in self.terms)
 
-    def coefficient(self, m: tuple):
-        return self.terms.get(m, self.ring.field.zero())
-
     def __repr__(self):
         from .gxparser import render
 
@@ -420,16 +407,6 @@ class Polynomial:
 
 # ---------------------------------------------------------------------------
 # grading utilities
-
-
-def homogeneous_components(f: Polynomial) -> dict:
-    """Split f into its weighted-degree homogeneous parts; keys are degrees."""
-    ring = f.ring
-    buckets: dict = {}
-    for m, c in f.terms.items():
-        d = ring.weighted_degree(m)
-        buckets.setdefault(d, {})[m] = c
-    return {d: Polynomial(ring, t, _normalized=True) for d, t in sorted(buckets.items())}
 
 
 def is_homogeneous(f: Polynomial) -> bool:
@@ -441,45 +418,6 @@ def is_homogeneous(f: Polynomial) -> bool:
     except StopIteration:
         return True
     return all(ring.weighted_degree(m) == d0 for m in it)
-
-
-def weighted_degree(f: Polynomial) -> int | None:
-    """Max weighted degree of the terms of f; None for 0."""
-    if not f.terms:
-        return None
-    return max(f.ring.weighted_degree(m) for m in f.terms)
-
-
-def substitute(f: Polynomial, assignment: dict) -> Polynomial:
-    """Image of f under the ring map sending each variable to a polynomial.
-
-    `assignment` maps every variable name of f's ring to a Polynomial over
-    one common target ring with the same coefficient field.  Rings with
-    invertible variables are not supported as substitution sources.
-    """
-    ring = f.ring
-    if ring.has_laurent:
-        raise GradixError("substitution out of a Laurent ring is not supported")
-    if not f.terms:
-        targets = list(assignment.values())
-        if not targets:
-            raise GradixError("empty assignment for substitution of zero")
-        return targets[0].ring.zero()
-    missing = [n for n in ring.names if n not in assignment]
-    if missing:
-        raise GradixError(f"assignment misses variables {missing}")
-    target = next(iter(assignment.values())).ring
-    if target.field != ring.field:
-        raise RingMismatch("substitution must preserve the coefficient field")
-    images = [assignment[n] for n in ring.names]
-    out = target.zero()
-    for m, c in f.terms.items():
-        term = target.constant(c)
-        for e, img in zip(m, images):
-            if e:
-                term = term * img**e
-        out = out + term
-    return out
 
 
 def map_to_ring(f: Polynomial, target: RingSpec, rename: dict | None = None) -> Polynomial:

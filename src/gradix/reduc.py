@@ -1,6 +1,5 @@
-"""Indices of reducibility, irreducibility predicates, the comparison
-between an ideal and its largest graded subideal, and the equivalence
-harness over a corpus.
+"""Indices of reducibility, the comparison between an ideal and its
+largest graded subideal, and the equivalence harness over a corpus.
 
 `index_of_reducibility` is the one index function: it certifies I and
 reads the socle dimension over the residue field off R/I.  Its certified
@@ -8,6 +7,8 @@ scope is a zero-dimensional ideal whose radical is maximal (Artinian
 local quotient); the CLI's `type` is the same number.  `graded_index` is
 the one graded-index function: the socle dimension of a graded R/I, and
 for Laurent quotients the index after setting the unit variables to 1.
+An ideal is irreducible exactly when its index is 1, and
+graded-irreducible exactly when its graded index is 1.
 Hypothesis and conclusion of the principal-quotient comparison are
 tracked explicitly, and a met hypothesis with a failed conclusion raises
 a theorem contradiction rather than returning quietly.
@@ -16,8 +17,9 @@ a theorem contradiction rather than returning quietly.
 r is the socle dimension of R/I, and each graded-irreducible component J
 is certified by the socle of R/J that the decomposition took, with R/J
 built from the subspace J/I of R/I, so no component gets a Groebner basis
-or a second socle of its own.  The independent check, `is_irreducible(J)`
-from a Groebner basis of J, runs in the tests.
+or a second socle of its own.  The independent check,
+`index_of_reducibility(J) == 1` from a Groebner basis of J, runs in the
+tests.
 """
 
 from __future__ import annotations
@@ -66,36 +68,6 @@ def graded_index(I: Ideal) -> int:
         return len(artin.socle(artin.QuotientBasis(I)))
     except NotZeroDimensional as e:
         raise NotStarArtinian(str(e)) from None
-
-
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
-    certified: bool
-    irreducible: bool | None
-    reason: str = ""
-
-    def __bool__(self):
-        return bool(self.irreducible)
-
-
-def is_irreducible(I: Ideal) -> IrreducibilityVerdict:
-    """Certified True/False inside the zero-dimensional maximal-radical
-    scope; Uncertified (with diagnostics) outside it."""
-    try:
-        r = index_of_reducibility(I)
-    except ScopeError as e:
-        return IrreducibilityVerdict(False, None, f"uncertified: {e}")
-    return IrreducibilityVerdict(True, r == 1)
-
-
-def is_graded_irreducible(I: Ideal) -> IrreducibilityVerdict:
-    if not I.is_graded():
-        raise NotGraded("graded irreducibility of a non-graded ideal")
-    try:
-        rg = graded_index(I)
-    except ScopeError as e:
-        return IrreducibilityVerdict(False, None, f"uncertified: {e}")
-    return IrreducibilityVerdict(True, rg == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,16 +27,6 @@ def degree(cs) -> int:
     return len(cs) - 1  # -1 for the zero polynomial
 
 
-def add(a, b, field):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero()
-        y = b[i] if i < len(b) else field.zero()
-        out.append(field.add(x, y))
-    return trim(out, field)
-
-
 def sub(a, b, field):
     n = max(len(a), len(b))
     out = []

@@ -7,11 +7,19 @@ The two exact inner loops of the program keep their former, rescanning
 forms here as references: `ref_reduce_full` (complete reduction that
 finds each next term by a max scan) and `RefSpan` (dense reduced echelon
 form through the field's methods, one call per entry).
+
+Code that the program itself does not need lives here too: polynomial
+substitution, and the inverse system in dual polynomials (`DualPoly`,
+`contract`, `dual_generators`, `annihilator`) beside the program's R/I
+coordinates, with `monomial_split` for monomial ideals.
 """
 
 from itertools import combinations, product
 
-from gradix.linalg import matvec
+from gradix.artin import QuotientBasis, certified_power_bound, socle
+from gradix.errors import GradixError, RingMismatch, ScopeError
+from gradix.groebner import Ideal, ideal_equal, intersect
+from gradix.linalg import kernel_basis, matvec
 from gradix.poly import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
 
 
@@ -406,3 +414,200 @@ def ref_ideal_keys(A):
         if homogeneous:
             graded.append(key)
     return members, graded
+
+
+# ---------------------------------------------------------------------------
+# polynomial substitution: the image of f under a ring map, multiplied out
+
+
+def substitute(f, assignment):
+    """Image of f under the ring map sending each variable to a polynomial.
+
+    `assignment` maps every variable name of f's ring to a Polynomial over
+    one common target ring with the same coefficient field.  Rings with
+    invertible variables are not supported as substitution sources.
+    """
+    ring = f.ring
+    if ring.has_laurent:
+        raise GradixError("substitution out of a Laurent ring is not supported")
+    if not f.terms:
+        targets = list(assignment.values())
+        if not targets:
+            raise GradixError("empty assignment for substitution of zero")
+        return targets[0].ring.zero()
+    missing = [n for n in ring.names if n not in assignment]
+    if missing:
+        raise GradixError(f"assignment misses variables {missing}")
+    target = next(iter(assignment.values())).ring
+    if target.field != ring.field:
+        raise RingMismatch("substitution must preserve the coefficient field")
+    images = [assignment[n] for n in ring.names]
+    out = target.zero()
+    for m, c in f.terms.items():
+        term = target.constant(c)
+        for e, img in zip(m, images):
+            if e:
+                term = term * img**e
+        out = out + term
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inverse-system reference: dual generators as polynomials in the dual
+# variables, contraction, and annihilators by a kernel over all monomials
+# up to the top degree; `gradix.invsys` works in R/I coordinates only
+
+
+class DualPoly:
+    """Polynomial in the dual variables, paired with the ring by
+    contraction: x^e acting on X^a gives X^(a-e) when a >= e, else 0."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms: dict):
+        self.ring = ring
+        fz = ring.field.is_zero
+        self.terms = {m: c for m, c in terms.items() if not fz(c)}
+
+    def is_zero(self):
+        return not self.terms
+
+    def degree(self):
+        return max((sum(m) for m in self.terms), default=None)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DualPoly)
+            and self.ring == other.ring
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
+
+    def dual_names(self):
+        names = []
+        for n in self.ring.pres_names:
+            up = n.upper()
+            names.append(up if up != n else "D" + n)
+        return names
+
+    def __repr__(self):
+        if not self.terms:
+            return "<dual 0>"
+        names = self.dual_names()
+        parts = []
+        for m, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            factors = [
+                names[i] if e == 1 else f"{names[i]}^{e}"
+                for i, e in enumerate(m)
+                if e
+            ]
+            body = "*".join(factors) if factors else "1"
+            parts.append(f"{c}*{body}" if factors else str(c))
+        return "<dual " + "+".join(parts) + ">"
+
+
+def contract(g, F):
+    """g acting on F by contraction."""
+    field = g.ring.field
+    out: dict = {}
+    for a, fc in F.terms.items():
+        for e, gc in g.terms.items():
+            if mono_divides(e, a):
+                b = tuple(x - y for x, y in zip(a, e))
+                c = field.mul(gc, fc)
+                if b in out:
+                    s = field.add(out[b], c)
+                    if field.is_zero(s):
+                        del out[b]
+                    else:
+                        out[b] = s
+                else:
+                    out[b] = c
+    return DualPoly(g.ring, out)
+
+
+def _dual_poly_from_coords(Q, coords, bound):
+    """F = sum over monomials m of <NF(m), coords> X^m, cut off at the
+    certified power bound."""
+    field = Q.ring.field
+    terms: dict = {}
+    for d in range(bound):
+        for m in monomials_of_degree(Q.ring, d):
+            v = Q.nf_monomial(m)
+            acc = field.zero()
+            for a, b in zip(v, coords):
+                if not field.is_zero(a) and not field.is_zero(b):
+                    acc = field.add(acc, field.mul(a, b))
+            if not field.is_zero(acc):
+                terms[m] = acc
+    return DualPoly(Q.ring, terms)
+
+
+def dual_generators(inv):
+    """The minimal generators of an `InverseSystem` as DualPolys, cut off
+    at the certified power bound."""
+    Q = inv.certificate.quotient
+    bound = certified_power_bound(Q)
+    return [_dual_poly_from_coords(Q, c, bound) for c in inv.generator_coords]
+
+
+def annihilator(F, ring):
+    """Ann(F) = {g : g o F = 0}: a (variables)-primary irreducible ideal,
+    certified by a socle-dimension-1 post-check."""
+    if F.is_zero():
+        raise GradixError("annihilator of the zero dual element")
+    d = F.degree()
+    field = ring.field
+    monos = [m for deg in range(d + 1) for m in monomials_of_degree(ring, deg)]
+    # rows indexed by target dual monomials b: sum_e g_e F_{b+e} = 0
+    rows: dict[tuple, list] = {}
+    for i, e in enumerate(monos):
+        for a, fc in F.terms.items():
+            if mono_divides(e, a):
+                b = tuple(x - y for x, y in zip(a, e))
+                rows.setdefault(b, [field.zero()] * len(monos))[i] = fc
+    kern = kernel_basis(field, list(rows.values()), len(monos))
+    gens = []
+    for v in kern:
+        terms = {monos[i]: c for i, c in enumerate(v) if not field.is_zero(c)}
+        gens.append(Polynomial(ring, terms, _normalized=True))
+    gens.extend(ring.monomial(m) for m in monomials_of_degree(ring, d + 1))
+    ideal = Ideal(ring, gens)
+    if len(socle(QuotientBasis(ideal))) != 1:
+        raise GradixError("internal: annihilator failed the irreducibility certificate")
+    return Ideal(ring, list(ideal.groebner_basis()))
+
+
+# ---------------------------------------------------------------------------
+# monomial splitting: I = (I + (m)) cap (I + (m')) at a mixed generator m*m'
+
+
+class NotMonomial(ScopeError):
+    pass
+
+
+def monomial_split(I):
+    """If a minimal monomial generator factors into coprime non-unit
+    monomials m, m', return (I + (m), I + (m')) with the intersection
+    verified equal to I; None when no mixed generator exists."""
+    ring = I.ring
+    for g in I.gens:
+        if len(g.terms) != 1:
+            raise NotMonomial("monomial splitting needs a monomial ideal")
+    basis = I.groebner_basis()  # minimal monomial generators
+    for g in basis:
+        (mono, _), = g.terms.items()
+        support = [i for i, e in enumerate(mono) if e]
+        if len(support) < 2:
+            continue
+        i = support[0]
+        m1 = tuple(e if k == i else 0 for k, e in enumerate(mono))
+        m2 = tuple(0 if k == i else e for k, e in enumerate(mono))
+        A = Ideal(ring, list(I.gens) + [ring.monomial(m1)])
+        B = Ideal(ring, list(I.gens) + [ring.monomial(m2)])
+        if not ideal_equal(intersect(A, B), I):
+            raise GradixError("internal: monomial split failed verification")
+        return A, B
+    return None

@@ -17,9 +17,11 @@ from gradix.errors import CharacteristicForbidden, TheoremContradiction
 from gradix.fields import GF, QQ, char_guard
 from gradix.groebner import Ideal, ideal_equal, intersect, intersect_many
 from gradix.gxparser import parse_file, parse_poly
-from gradix.invsys import annihilator, inverse_system, monomial_split
+from gradix.invsys import inverse_system
 from gradix.poly import RingSpec
 from gradix.star import star, star_lambda
+
+from oracles import annihilator, dual_generators, monomial_split
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -54,10 +56,10 @@ def test_criterion_1_quadratic_socle_suite():
         )
         checks.append((f"J1 cap J2 {tag}", ideal_equal(intersect(J1, J2), I)))
         checks.append(
-            (f"J1 irreducible {tag}", reduc.is_irreducible(J1).irreducible is True)
+            (f"J1 irreducible {tag}", reduc.index_of_reducibility(J1) == 1)
         )
         checks.append(
-            (f"J2 irreducible {tag}", reduc.is_irreducible(J2).irreducible is True)
+            (f"J2 irreducible {tag}", reduc.index_of_reducibility(J2) == 1)
         )
         checks.append(
             (
@@ -275,7 +277,7 @@ def test_criterion_8_inverse_system_duality():
     for k, I in enumerate(ideals):
         inv = inverse_system(I)
         sd = len(artin.socle(artin.QuotientBasis(I)))
-        if inv.generator_count != sd:
+        if len(inv.generator_coords) != sd:
             failures.append(f"count mismatch at {k}")
         rep = invsys.decompose(I, graded=I.is_graded())
         if rep.r != sd:
@@ -283,7 +285,7 @@ def test_criterion_8_inverse_system_duality():
         # coordinate route already certifies the intersection; cross-check a
         # sample with the honest annihilator + ideal intersection route
         if k % 20 == 0:
-            anns = [annihilator(F, I.ring) for F in inv.generators]
+            anns = [annihilator(F, I.ring) for F in dual_generators(inv)]
             if not ideal_equal(intersect_many(anns), I):
                 failures.append(f"annihilator round-trip fails at {k}")
     checks.append(("duality round-trip", not failures))

@@ -9,7 +9,7 @@ from gradix import artin, groebner, invsys
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal
 from gradix.gxparser import parse_poly
-from gradix.invsys import decompose, inverse_system
+from gradix.invsys import decompose
 from gradix.poly import RingSpec
 from gradix.reduc import compare_star, index_of_reducibility, verify_equivalence
 
@@ -125,27 +125,6 @@ def test_each_socle_is_taken_once(monkeypatch, call):
     call([I]) if call is verify_equivalence else call(I, graded=True)
     assert taken.count(True) == 1
     assert len(taken) == 1 + 2
-
-
-def test_decompose_builds_no_dual_polynomial(monkeypatch):
-    """The decomposition works from generator coordinates; the DualPolys
-    (and the power bound that cuts them off) are built when first read,
-    once."""
-    calls = []
-    for name in ("certified_power_bound", "_dual_poly_from_coords"):
-        real = getattr(invsys, name)
-
-        def counting(*args, name=name, real=real):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(invsys, name, counting)
-    assert decompose(fixture(), graded=True).r == 2
-    inv = inverse_system(fixture())
-    assert calls == []
-    assert len(inv.generators) == inv.generator_count == 2
-    assert inv.generators is inv.generators
-    assert calls == ["certified_power_bound"] + ["_dual_poly_from_coords"] * 2
 
 
 def test_verify_equivalence_builds_no_groebner_basis_for_a_component(monkeypatch):

@@ -22,7 +22,7 @@ from gradix.groebner import (
     standard_monomials,
 )
 from gradix.gxparser import parse_document, parse_poly
-from gradix.poly import BlockElim, GrevLex, Lex, Polynomial, RingSpec, substitute
+from gradix.poly import BlockElim, GrevLex, Lex, Polynomial, RingSpec
 
 from oracles import (
     graded_quotient_dims,
@@ -32,6 +32,7 @@ from oracles import (
     ref_reduce_full,
     same_ideal_oracle,
     spoly_certificate,
+    substitute,
 )
 
 R2 = RingSpec.make(QQ, ("x", "y"))

@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 from gradix.errors import RingMismatch
 from gradix.fields import GF, QQ
 from gradix.gxparser import parse_poly
-from gradix.poly import (
-    GrevLex,
-    Lex,
-    RingSpec,
-    compare_monomials,
-    homogeneous_components,
-    is_homogeneous,
-    substitute,
-    weighted_degree,
-)
+from gradix.poly import GrevLex, Lex, RingSpec, is_homogeneous
+
+from oracles import substitute
 
 R2 = RingSpec.make(QQ, ("x", "y"))
 
@@ -45,25 +38,37 @@ def test_ring_mismatch_rejected():
         P("x") + parse_poly("x", other)
 
 
-def test_homogeneous_components_standard_weights():
-    comps = homogeneous_components(P("x^2-y^3"))
-    assert set(comps) == {2, 3}
-    assert comps[2] == P("x^2")
-    assert comps[3] == P("-y^3")
-    assert comps[2] + comps[3] == P("x^2-y^3")
+def _by_degree(f):
+    """The homogeneous parts of f, keyed by weighted degree."""
+    parts = {}
+    for m, c in f.terms.items():
+        d = f.ring.weighted_degree(m)
+        parts[d] = parts.get(d, f.ring.zero()) + f.ring.monomial(m, c)
+    return parts
 
 
-def test_homogeneous_components_single():
-    comps = homogeneous_components(P("x^2+x*y"))
-    assert set(comps) == {2}
+def test_weighted_degrees_standard_weights():
+    parts = _by_degree(P("x^2-y^3"))
+    assert set(parts) == {2, 3}
+    assert parts[2] == P("x^2")
+    assert parts[3] == P("-y^3")
+    assert is_homogeneous(parts[2]) and is_homogeneous(parts[3])
+    assert not is_homogeneous(P("x^2-y^3"))
 
 
-def test_homogeneous_components_zero_weight():
+def test_weighted_degrees_single():
+    assert set(_by_degree(P("x^2+x*y"))) == {2}
+    assert is_homogeneous(P("x^2+x*y"))
+
+
+def test_weighted_degrees_zero_weight():
     ring = RingSpec.make(QQ, ("x", "y"), weights=(0, 1))
-    comps = homogeneous_components(parse_poly("x-y", ring))
-    assert set(comps) == {0, 1}
-    assert comps[0] == parse_poly("x", ring)
-    assert comps[1] == parse_poly("-y", ring)
+    parts = _by_degree(parse_poly("x-y", ring))
+    assert set(parts) == {0, 1}
+    assert parts[0] == parse_poly("x", ring)
+    assert parts[1] == parse_poly("-y", ring)
+    assert not is_homogeneous(parse_poly("x-y", ring))
+    assert is_homogeneous(parse_poly("x^2-x", ring))  # x has weight 0
 
 
 def test_is_homogeneous():
@@ -72,24 +77,24 @@ def test_is_homogeneous():
     assert is_homogeneous(R2.zero())
 
 
-def test_compare_monomials_grevlex():
-    o = GrevLex(2)
-    assert compare_monomials((2, 0), (1, 1), o) == 1  # x^2 > xy
-    assert compare_monomials((1, 1), (1, 1), o) == 0
-    assert compare_monomials((0, 3), (1, 0), o) == 1  # degree wins
+def test_grevlex_keys():
+    key = GrevLex(2).key
+    assert key((2, 0)) > key((1, 1))  # x^2 > xy
+    assert key((1, 1)) == key((1, 1))
+    assert key((0, 3)) > key((1, 0))  # degree wins
 
 
-def test_compare_monomials_lex():
-    o = Lex(2)
-    assert compare_monomials((1, 0), (0, 3), o) == 1  # x > y^3
+def test_lex_keys():
+    key = Lex(2).key
+    assert key((1, 0)) > key((0, 3))  # x > y^3
 
 
 def test_grevlex_tie_break():
     # x*z vs y^2 in three variables: same degree, last nonzero of u-v decides
-    o = GrevLex(3)
+    key = GrevLex(3).key
     xz = (1, 0, 1)
     y2 = (0, 2, 0)
-    assert compare_monomials(xz, y2, o) == -1  # standard grevlex: y^2 > xz
+    assert key(xz) < key(y2)  # standard grevlex: y^2 > xz
 
 
 def test_substitute_cusp_relation():
@@ -117,10 +122,10 @@ mono = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 @given(mono, mono, mono)
 def test_order_multiplicativity(u, v, w):
     for order in (GrevLex(3), Lex(3)):
-        c = compare_monomials(u, v, order)
+        key = order.key
         uw = tuple(a + b for a, b in zip(u, w))
         vw = tuple(a + b for a, b in zip(v, w))
-        assert compare_monomials(uw, vw, order) == c
+        assert (key(u) < key(v), key(u) == key(v)) == (key(uw) < key(vw), key(uw) == key(vw))
 
 
 coeffs = st.integers(-4, 4)
@@ -132,11 +137,12 @@ polys = st.lists(
 @settings(max_examples=60)
 @given(polys)
 def test_components_reconstruct(f):
-    comps = homogeneous_components(f)
+    parts = _by_degree(f)
+    assert is_homogeneous(f) == (len(parts) <= 1)
     total = R2.zero()
-    for d, c in comps.items():
+    for d, c in parts.items():
         assert is_homogeneous(c)
-        assert weighted_degree(c) == d
+        assert {R2.weighted_degree(m) for m in c.terms} == {d}
         total = total + c
     assert total == f
 
@@ -144,12 +150,12 @@ def test_components_reconstruct(f):
 @settings(max_examples=60)
 @given(polys, polys)
 def test_graded_product_degree(f, g):
-    fh = homogeneous_components(f)
-    gh = homogeneous_components(g)
+    fh = _by_degree(f)
+    gh = _by_degree(g)
     if not fh or not gh:
         return
     df, cf = max(fh.items())
     dg, cg = max(gh.items())
     prod = cf * cg
-    if not prod.is_zero():
-        assert weighted_degree(prod) == df + dg
+    assert is_homogeneous(prod)
+    assert all(R2.weighted_degree(m) == df + dg for m in prod.terms)

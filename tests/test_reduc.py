@@ -17,8 +17,6 @@ from gradix.reduc import (
     graded_index,
     index_of_reducibility,
     index_of_star_ideal,
-    is_graded_irreducible,
-    is_irreducible,
     local_min_generators,
     verify_equivalence,
 )
@@ -90,28 +88,26 @@ def test_graded_index_laurent_point_printed_star():
     assert graded_index(printed) == 1
 
 
-def test_is_irreducible():
+def test_irreducible_is_index_one():
     J1 = Ideal(R2, [P("x^2-x-y"), P("x*y+x+y")])
-    assert is_irreducible(J1).irreducible is True
-    assert is_irreducible(mnm_ideal()).irreducible is False
-    v = is_irreducible(Ideal(R2, [P("x+y^2")]))
-    assert v.irreducible is None and "uncertified" in v.reason
+    assert index_of_reducibility(J1) == 1
+    assert index_of_reducibility(mnm_ideal()) != 1
+    with pytest.raises(ScopeError):  # not zero-dimensional: uncertified
+        index_of_reducibility(Ideal(R2, [P("x+y^2")]))
 
 
-def test_is_graded_irreducible():
-    assert is_graded_irreducible(Ideal(R2, [P("x+y"), P("y^3")])).irreducible is True
-    assert is_graded_irreducible(mnm_ideal()).irreducible is False
-    assert is_graded_irreducible(Ideal(R2, [P("x"), P("y")])).irreducible is True
+def test_graded_irreducible_is_graded_index_one():
+    assert graded_index(Ideal(R2, [P("x+y"), P("y^3")])) == 1
+    assert graded_index(mnm_ideal()) != 1
+    assert graded_index(Ideal(R2, [P("x"), P("y")])) == 1
     with pytest.raises(NotGraded):
-        is_graded_irreducible(Ideal(R2, [P("x^2-x-y")]))
+        graded_index(Ideal(R2, [P("x^2-x-y")]))
 
 
 def test_the_unit_ideal_has_no_graded_index():
     unit = Ideal(R2, [P("1")])
     with pytest.raises(ScopeError, match="proper ideal"):
         graded_index(unit)
-    verdict = is_graded_irreducible(unit)
-    assert not verdict.certified and verdict.irreducible is None
 
 
 def test_decompose_min_nonmonomial():
@@ -232,15 +228,13 @@ def test_verify_equivalence_small_corpus():
 def test_component_verdicts_in_the_quotient_match_groebner_verdicts():
     """verify_equivalence reads each component's verdict off the socle of
     R/J that decompose took, with R/J built from J/I and I's certificate;
-    is_irreducible(J) builds a Groebner basis of J and certifies it from
-    scratch, so it stays the theorem's independent check."""
+    index_of_reducibility(J) builds a Groebner basis of J and certifies it
+    from scratch, so it stays the theorem's independent check."""
     ideals = corpus(seed=1, count=30, nvars_options=(3, 4))
     seen = 0
     for I in ideals:
         dec = decompose(I, graded=True)
         for comp, sd in zip(dec.components, dec.component_socle_dimensions):
-            verdict = is_irreducible(comp)
-            assert verdict.certified, verdict.reason
-            assert verdict.irreducible == (sd == 1)
+            assert (index_of_reducibility(comp) == 1) == (sd == 1)
             seen += 1
     assert seen > len(ideals)
