@@ -9,9 +9,11 @@ from gradix import artin, groebner, invsys
 from gradix.fields import GF, QQ
 from gradix.groebner import Ideal
 from gradix.gxparser import parse_poly
-from gradix.invsys import decompose
+from gradix.invsys import decompose, inverse_system
 from gradix.poly import RingSpec
 from gradix.reduc import compare_star, index_of_reducibility, verify_equivalence
+
+import oracles
 
 
 @pytest.fixture
@@ -125,6 +127,37 @@ def test_each_socle_is_taken_once(monkeypatch, call):
     call([I]) if call is verify_equivalence else call(I, graded=True)
     assert taken.count(True) == 1
     assert len(taken) == 1 + 2
+
+
+def test_decompose_builds_no_dual_polynomial(monkeypatch):
+    """The decomposition works from generator coordinates: neither
+    `decompose` nor `inverse_system` takes the power bound or builds a dual
+    polynomial.  The tests' own `dual_generators` builds them when asked,
+    on one power bound."""
+    calls = []
+    bound = artin.certified_power_bound
+
+    def counting_bound(Q):
+        calls.append("certified_power_bound")
+        return bound(Q)
+
+    for name, mod in list(sys.modules.items()):
+        if getattr(mod, "certified_power_bound", None) is bound and (
+            name.startswith("gradix") or name == "oracles"
+        ):
+            monkeypatch.setattr(mod, "certified_power_bound", counting_bound)
+    from_coords = oracles._dual_poly_from_coords
+
+    def counting_from_coords(*args):
+        calls.append("_dual_poly_from_coords")
+        return from_coords(*args)
+
+    monkeypatch.setattr(oracles, "_dual_poly_from_coords", counting_from_coords)
+    assert decompose(fixture(), graded=True).r == 2
+    inv = inverse_system(fixture())
+    assert calls == []
+    assert len(oracles.dual_generators(inv)) == len(inv.generator_coords) == 2
+    assert calls == ["certified_power_bound"] + ["_dual_poly_from_coords"] * 2
 
 
 def test_verify_equivalence_builds_no_groebner_basis_for_a_component(monkeypatch):
