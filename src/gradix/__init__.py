@@ -5,9 +5,13 @@ quotients, indices of reducibility, irreducible and graded-irreducible
 decompositions via inverse systems, and the largest graded subideal of a
 non-graded ideal, with a brute-force lattice oracle for small finite
 algebras and a `gradix` command-line front end.
+
+`__all__` is the library API: fields, ideals and their operations, the
+`.gx` parser and renderer, and polynomials.  Every name in it is also
+used by the program itself, so none is kept only for re-export.
 """
 
-from .fields import GF, QQ, char_guard
+from .fields import GF, QQ
 from .groebner import Ideal, eliminate, ideal_equal, intersect, quotient, saturate
 from .gxparser import parse_document, parse_file, parse_poly, render
 from .poly import Polynomial, RingSpec
@@ -15,7 +19,6 @@ from .poly import Polynomial, RingSpec
 __all__ = [
     "GF",
     "QQ",
-    "char_guard",
     "Ideal",
     "eliminate",
     "ideal_equal",

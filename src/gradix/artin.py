@@ -8,14 +8,17 @@ form is walked through them.  `Ideal.normal_form` runs only for the
 boundary columns (x_i * b not standard) and, in `action_matrix`, once to
 reduce the acting polynomial g.
 
+Every linear map on R/I is held as sparse columns (row -> entry), the
+form of `QuotientBasis.columns[i]`: the multiplication by a variable, the
+`action_matrix` of a polynomial, and v -> v^p - v in the Frobenius count.
 A socle is its basis as a list of coordinate vectors in R/I (`len` is
-its dimension, `QuotientBasis.to_poly` renders a vector).  For a graded
-quotient it is computed one degree slice at a time, so the basis is
-homogeneous; the ungraded path stacks the multiplication matrices and
-takes one kernel.  `residue_socle_dimension` reads the index of
-reducibility off a certificate: the socle from the sparse columns when
-the radical is the ideal of all variables, else `socle_wrt` on dense
-action matrices of the radical's generators (translated points,
+its dimension, `QuotientBasis.to_poly` renders a vector): the joint
+kernel of the maps, stacked into one.  For a graded quotient it is
+computed one degree slice at a time, so the basis is homogeneous; the
+ungraded path takes one kernel.  `residue_socle_dimension` reads the
+index of reducibility off a certificate: the socle of the variables'
+columns when the radical is the ideal of all variables, else `socle_wrt`
+on the action matrices of the radical's generators (translated points,
 non-rational residue fields), which stays the reference the column path
 is tested against.  Minimal polynomials store each reduced power with
 its pivot, so a new power is reduced in one pass over the stored ones.
@@ -182,22 +185,21 @@ class QuotientBasis:
                     out[r] = field.add(out[r], field.mul(c, a))
         return out
 
-    def action_matrix(self, g: Polynomial) -> list[list]:
-        """Dense matrix (rows) of multiplication by g on the quotient: g is
-        reduced once, then its terms act on each basis vector."""
+    def action_matrix(self, g: Polynomial) -> list[dict]:
+        """Sparse columns (row -> entry) of multiplication by g on the
+        quotient, the form of `columns[i]`: g is reduced once, then its
+        terms act on each basis vector."""
         field = self.ring.field
         D = self.dimension
-        rows = [[field.zero()] * D for _ in range(D)]
         terms = list(self.ideal.normal_form(g, self.order).terms.items())
         if not terms:
-            return rows
+            return [{} for _ in range(D)]
+        out = []
         for j in range(D):
             unit = [field.zero()] * D
             unit[j] = field.one()
-            for r, c in enumerate(self._apply_terms(terms, unit)):
-                if not field.is_zero(c):
-                    rows[r][j] = c
-        return rows
+            out.append({r: c for r, c in enumerate(self._apply_terms(terms, unit)) if c})
+        return out
 
     def multiply(self, u: list, v: list) -> list:
         field = self.ring.field
@@ -267,22 +269,26 @@ def _kernel_by_degree(Q: QuotientBasis, columns: list[dict], graded: bool) -> li
     return out
 
 
+def _joint_kernel(Q: QuotientBasis, maps: list[list[dict]], graded: bool) -> list[list]:
+    """Kernel of the maps on R/I given as sparse columns, stacked into one
+    map whose column j sends (i, r) to entry r of column j of map i."""
+    columns = [
+        {(i, r): a for i, cols in enumerate(maps) for r, a in cols[j].items()}
+        for j in range(Q.dimension)
+    ]
+    return _kernel_by_degree(Q, columns, graded)
+
+
 def socle(Q: QuotientBasis) -> list[list]:
     """Basis of 0 : (all variables) in R/I; homogeneous by construction
     when the ideal is graded."""
-    columns = [
-        {(i, r): a for i in range(Q.ring.npres) for r, a in Q.columns[i][j].items()}
-        for j in range(Q.dimension)
-    ]
-    return _kernel_by_degree(Q, columns, Q.graded)
+    return _joint_kernel(Q, Q.columns, Q.graded)
 
 
 def socle_wrt(Q: QuotientBasis, annihilators) -> list[list]:
     """Basis of 0 : (g_1, ..., g_k) in R/I for arbitrary ideal generators;
     a generator inside I acts as zero and adds no rows."""
-    reduced = (Q.ideal.normal_form(g, Q.order) for g in annihilators)
-    rows = [row for g in reduced if not g.is_zero() for row in Q.action_matrix(g)]
-    return kernel_basis(Q.ring.field, rows, Q.dimension)
+    return _joint_kernel(Q, [Q.action_matrix(g) for g in annihilators], False)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +366,14 @@ def _frobenius_component_count(A: QuotientBasis) -> int:
     of the fixed space of v -> v^p."""
     field = A.ring.field
     p = field.characteristic
-    rows = [[field.zero()] * A.dimension for _ in range(A.dimension)]
+    columns = []
     for j in range(A.dimension):
         e = [field.zero()] * A.dimension
         e[j] = field.one()
         img = A.element_power(e, p)
         img[j] = field.sub(img[j], field.one())
-        for r, c in enumerate(img):
-            rows[r][j] = c
-    return len(kernel_basis(field, rows, A.dimension))
+        columns.append({r: c for r, c in enumerate(img) if c})
+    return len(_kernel_by_degree(A, columns, False))
 
 
 def _qq_is_field(A: QuotientBasis, attempts: int = 32) -> bool:

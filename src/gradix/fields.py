@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CharacteristicForbidden, FieldMismatch, GradixError
+from .errors import FieldMismatch, GradixError
 
 MAX_PRIME = 2**31  # products of residues must fit comfortably in native ints
 
@@ -158,9 +158,3 @@ QQ = Rationals()
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-def char_guard(field, forbidden) -> None:
-    """Refuse coefficient fields whose characteristic is in `forbidden`."""
-    if field.characteristic in set(forbidden):
-        raise CharacteristicForbidden(field.characteristic)

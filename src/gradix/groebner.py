@@ -275,9 +275,6 @@ class Ideal:
             raise RingMismatch("ideals over different rings")
         return self.groebner_basis() == other.groebner_basis()
 
-    def is_zero(self) -> bool:
-        return not self.groebner_basis()
-
     def is_graded(self) -> bool:
         """Graded iff the reduced basis is weighted-homogeneous."""
         return all(is_homogeneous(g) for g in self.groebner_basis())

@@ -83,15 +83,6 @@ class Span:
                 s *= d
         return w, s
 
-    def reduce(self, vec: list) -> list:
-        """Residual of vec after elimination against the span (vec is not modified)."""
-        if not any(vec[p] for p in self._rows):
-            return list(vec)
-        w, s = self._eliminate(vec)
-        if self._p:
-            return w
-        return [Fraction(a, s) for a in w]
-
     def contains(self, vec: list) -> bool:
         return not any(self._eliminate(vec)[0])
 
@@ -133,8 +124,9 @@ class Span:
     def membership_rows(self) -> list[list]:
         """Linear conditions for 'vector lies in the span': one row per
         free (non-pivot) coordinate r, whose product with v is the r-th
-        coordinate of `reduce(v)`.  The rows are in reduced echelon form,
-        so that coordinate is v[r] minus v[p] * row_p[r] over the pivots p."""
+        coordinate of v's residual against the span.  The rows are in
+        reduced echelon form, so that coordinate is v[r] minus
+        v[p] * row_p[r] over the pivots p."""
         f = self.field
         out = []
         for r in range(self.n):

@@ -11,13 +11,16 @@ form through the field's methods, one call per entry).
 Code that the program itself does not need lives here too: polynomial
 substitution, and the inverse system in dual polynomials (`DualPoly`,
 `contract`, `dual_generators`, `annihilator`) beside the program's R/I
-coordinates, with `monomial_split` for monomial ideals.
+coordinates, with `monomial_split` for monomial ideals and `char_guard`
+for the characteristics its identity excludes.  `dense` turns the
+program's sparse columns of a map on R/I into the rows the references
+compare against.
 """
 
 from itertools import combinations, product
 
 from gradix.artin import QuotientBasis, certified_power_bound, socle
-from gradix.errors import GradixError, RingMismatch, ScopeError
+from gradix.errors import CharacteristicForbidden, GradixError, RingMismatch, ScopeError
 from gradix.groebner import Ideal, ideal_equal, intersect
 from gradix.linalg import kernel_basis, matvec
 from gradix.poly import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
@@ -284,6 +287,12 @@ def ref_action_matrix(Q, g, basis):
     return [[col[r] for col in cols] for r in range(Q.dimension)]
 
 
+def dense(columns, n):
+    """Rows of the n x n matrix with the given sparse columns (row -> entry),
+    the form of `QuotientBasis.columns[i]` and `QuotientBasis.action_matrix`."""
+    return [[col.get(r, 0) for col in columns] for r in range(n)]
+
+
 def ref_multiply(Q, u, v, basis):
     return ref_coords(Q, _as_poly(Q, u) * _as_poly(Q, v), basis)
 
@@ -387,7 +396,7 @@ def ref_ideal_keys(A):
     Q = A.quotient
     field = Q.ring.field
     n = Q.dimension
-    matrices = [Q.action_matrix(Q.ring.var(name)) for name in Q.ring.pres_names]
+    matrices = [dense(Q.action_matrix(Q.ring.var(name)), n) for name in Q.ring.pres_names]
     members = []
     graded = []
     degree_set = sorted(set(Q.degrees))
@@ -611,3 +620,9 @@ def monomial_split(I):
             raise GradixError("internal: monomial split failed verification")
         return A, B
     return None
+
+
+def char_guard(field, forbidden) -> None:
+    """Refuse coefficient fields whose characteristic is in `forbidden`."""
+    if field.characteristic in set(forbidden):
+        raise CharacteristicForbidden(field.characteristic)

@@ -14,14 +14,14 @@ import time
 from gradix import artin, invsys, oracle, reduc
 from gradix.corpus import corpus
 from gradix.errors import CharacteristicForbidden, TheoremContradiction
-from gradix.fields import GF, QQ, char_guard
+from gradix.fields import GF, QQ
 from gradix.groebner import Ideal, ideal_equal, intersect, intersect_many
 from gradix.gxparser import parse_file, parse_poly
 from gradix.invsys import inverse_system
 from gradix.poly import RingSpec
 from gradix.star import star, star_lambda
 
-from oracles import annihilator, dual_generators, monomial_split
+from oracles import annihilator, char_guard, dual_generators, monomial_split
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -19,6 +19,8 @@ from gradix.gxparser import parse_document, parse_poly
 from gradix.poly import RingSpec, is_homogeneous
 from gradix.reduc import graded_index, index_of_reducibility
 
+from oracles import dense
+
 R2 = RingSpec.make(QQ, ("x", "y"))
 R3 = RingSpec.make(QQ, ("x", "y", "z"))
 
@@ -36,7 +38,7 @@ def test_quotient_basis_min_nonmonomial():
     assert Q.dimension == 4
     assert Q.monomials == [(0, 0), (0, 1), (1, 0), (0, 2)]
     # multiplication matrices commute (exact)
-    Mx, My = Q.action_matrix(Q.ring.var("x")), Q.action_matrix(Q.ring.var("y"))
+    Mx, My = (dense(Q.action_matrix(Q.ring.var(v)), Q.dimension) for v in "xy")
 
     def matmul(A, B):
         n = len(A)

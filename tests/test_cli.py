@@ -106,6 +106,18 @@ def test_star_rejects_a_negative_bound(capsys, tmp_path):
     assert captured.err.startswith("error:") and "--bound" in captured.err
 
 
+def test_order_directive_matches_the_order_flag(capsys, tmp_path):
+    ideal = "ring QQ[x,y,z];\nideal I = x+y+z, x*y+y*z+z*x, x*y*z;\n"
+    plain, directed = tmp_path / "plain.gx", tmp_path / "directed.gx"
+    plain.write_text(ideal)
+    directed.write_text("order lex;\n" + ideal)
+    outputs = []
+    for argv in (["-i", str(directed)], ["-i", str(plain), "--order", "lex"], ["-i", str(plain)]):
+        assert main(["gb", *argv, "--ideal", "I"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
 def test_compare_star_star_gap_b(capsys):
     code = main(["compare-star", "-i", fx("star_gap_b.gx"), "--ideal", "I", "--json"])
     assert code == 0
@@ -355,5 +367,7 @@ def test_verify_thm_jobs_keeps_corpus_order(capsys, monkeypatch):
         report = json.loads(capsys.readouterr().out)
         assert report["inputs"].pop("jobs") == int(jobs)
         reports.append((code, report))
+    # a failed ideal is reported through the exit status, serial or not
+    assert [code for code, _ in reports] == [3, 3]
     assert [f["ideal"] for f in reports[0][1]["result"]["failures"]] == ["x", "y", "x+y"]
     assert reports[1] == reports[0]

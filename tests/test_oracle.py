@@ -25,6 +25,7 @@ from gradix.oracle import (
 from gradix.poly import RingSpec
 from gradix.reduc import index_of_reducibility
 from oracles import (
+    dense,
     gaussian_binomial,
     monomials_of_degree,
     ref_ideal_keys,
@@ -137,7 +138,7 @@ def test_lattice_closed_under_intersection_and_multiplication():
     for m in lat.members:
         span = lat.span(m)
         for row in m.key:
-            for M in (Q.action_matrix(Q.ring.var(name)) for name in ("x", "y")):
+            for M in (dense(Q.action_matrix(Q.ring.var(name)), Q.dimension) for name in ("x", "y")):
                 img = [
                     sum(M[r][j] * row[j] for j in range(Q.dimension)) % 3
                     for r in range(Q.dimension)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gradix.errors import ParseError
 from gradix.fields import GF, QQ
 from gradix.gxparser import parse_document, parse_poly, render
-from gradix.poly import RingSpec
+from gradix.poly import GrevLex, Lex, RingSpec
 
 R2 = RingSpec.make(QQ, ("x", "y"))
 
@@ -75,6 +75,24 @@ def test_negative_laurent_exponent():
     assert f.terms == {(0, 2): Fraction(1), (1, 0): Fraction(1)}
     with pytest.raises(ParseError):
         parse_poly("t^-2", RingSpec.make(QQ, ("t",)))
+
+
+@pytest.mark.parametrize("name, cls", [("lex", Lex), ("grevlex", GrevLex)])
+def test_order_directive(name, cls):
+    ring, _, order = parse_document(f"ring QQ[x,y];\norder {name};\nideal I = x^2, y;")
+    assert type(order) is cls
+    assert order.nvars == ring.npres
+
+
+def test_unknown_order_is_refused_at_its_position():
+    with pytest.raises(ParseError, match="unknown order 'deglex'") as exc:
+        parse_document("ring QQ[x];\norder deglex;")
+    assert (exc.value.line, exc.value.column) == (2, 7)
+
+
+def test_negative_power_of_a_companion_variable():
+    ring, _, _ = parse_document("ring QQ[t,t^-1] weights(1);")
+    assert parse_poly("(t^-1)^-2", ring) == parse_poly("t^2", ring)
 
 
 def test_errors_carry_position():

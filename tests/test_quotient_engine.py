@@ -33,6 +33,7 @@ from gradix.poly import GrevLex, Lex, RingSpec, is_homogeneous
 from gradix.reduc import graded_index
 
 from oracles import (
+    dense,
     quotient_reference_basis,
     ref_action_matrix,
     ref_coords,
@@ -61,7 +62,9 @@ def _check_engine(Q, polys, rng):
     basis = quotient_reference_basis(Q)
     ring = Q.ring
     for g in polys:
-        assert Q.action_matrix(g) == ref_action_matrix(Q, g, basis), g
+        columns = Q.action_matrix(g)
+        assert all(all(col.values()) for col in columns), g
+        assert dense(columns, Q.dimension) == ref_action_matrix(Q, g, basis), g
     top = max(map(sum, Q.monomials)) + 2
     for m in _monomials_up_to(ring.npres, top):
         assert Q.nf_monomial(m) == ref_coords(Q, ring.monomial(m), basis), m

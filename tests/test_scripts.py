@@ -5,7 +5,6 @@ import os
 import sys
 
 from gradix.errors import ScopeError, TheoremContradiction
-from gradix.reduc import EquivalenceReport
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
@@ -15,26 +14,6 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_equivalence_experiment_exits_0_when_every_ideal_passes(monkeypatch):
-    script = load("equivalence_experiment")
-    monkeypatch.setattr(sys, "argv", ["equivalence_experiment.py", "--count", "3"])
-    assert script.main() == 0
-
-
-def test_equivalence_experiment_exits_1_on_a_failure_fixture(monkeypatch, capsys):
-    script = load("equivalence_experiment")
-
-    def failing(ideals):
-        ideals = list(ideals)
-        failure = {"ring": "GF(2)[x]", "ideal": "x^2", "problems": ["planted"]}
-        return EquivalenceReport(len(ideals), len(ideals) - 1, [failure])
-
-    monkeypatch.setattr(script, "verify_equivalence", failing)
-    monkeypatch.setattr(sys, "argv", ["equivalence_experiment.py", "--count", "3"])
-    assert script.main() == 1
-    assert "FAILURE FIXTURE" in capsys.readouterr().out
 
 
 def test_oracle_exhaustion_exits_0_when_every_algebra_passes(capsys):
